@@ -19,6 +19,9 @@
 #             cluster_test and support_test must report zero races
 #   fuzz      differential-oracle fuzzer, short fixed-seed burst
 #   bench     fast-forward vs stepped smoke
+#   benchmark served-system benchmark self-test: BENCHMARK.json must
+#             name exactly the workloads and metrics bfdn_bench --list
+#             reports, then every workload at smoke size
 #   service   serve + load mix + SIGTERM drain
 #   store     durable-store round trip: serve over a store dir, fill,
 #             SIGTERM, restart, require the rewarm first pass to hit
@@ -170,6 +173,9 @@ echo "== bench smoke: store warm-start, recovery, write-behind =="
 
 echo "== bench smoke: fleet scaling, hot-key tail, segment ship =="
 ./build/bench/bench_cluster --smoke > /dev/null
+
+echo "== benchmark self-test: BENCHMARK.json <=> --list, then --smoke =="
+./benchmark/run.sh --self-test > /dev/null
 
 echo "== service smoke: serve + load mix + SIGTERM drain =="
 rm -f build/serve.port

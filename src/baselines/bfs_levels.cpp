@@ -63,8 +63,7 @@ void BfsLevelsAlgorithm::select_moves(const ExplorationView& view,
       if (pos == targets_[idx]) {
         phases_[idx] = Phase::kProbe;
       } else {
-        selector.move_down(
-            i, view.ancestor_at_depth(targets_[idx], view.depth(pos) + 1));
+        selector.move_down(i, view.child_toward(pos, targets_[idx]));
         continue;
       }
     }

@@ -56,12 +56,8 @@ void DepthNextOnlyAlgorithm::plan_transit(const ExplorationView& view,
   // (arrival is an event; the take may still lose to a rival and fall
   // back to another climb) or to the root.
   plan.kind = TransitPlan::Kind::kWalk;
-  NodeId cur = pos;
-  while (cur != view.root()) {
-    cur = view.parent(cur);
-    plan.path.push_back(cur);
-    if (view.has_unexplored_child_edge(cur)) break;
-  }
+  plan.target = view.nearest_open_ancestor(pos);
+  plan.steps = view.depth(pos) - view.depth(plan.target);
 }
 
 }  // namespace bfdn

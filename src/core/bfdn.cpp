@@ -14,8 +14,7 @@ BfdnAlgorithm::BfdnAlgorithm(std::int32_t num_robots, BfdnOptions options)
       rng_(options.seed),
       anchors_(static_cast<std::size_t>(num_robots), kInvalidNode),
       modes_(static_cast<std::size_t>(num_robots), Mode::kExploring),
-      inactive_(static_cast<std::size_t>(num_robots), 0),
-      paths_(static_cast<std::size_t>(num_robots)) {
+      inactive_(static_cast<std::size_t>(num_robots), 0) {
   BFDN_REQUIRE(num_robots >= 1, "need at least one robot");
 }
 
@@ -71,16 +70,6 @@ std::int32_t BfdnAlgorithm::load_of(NodeId v) const {
   }
   const auto idx = static_cast<std::size_t>(v);
   return idx < anchor_load_.size() ? anchor_load_[idx] : 0;
-}
-
-void BfdnAlgorithm::rebuild_path(std::size_t robot, NodeId anchor,
-                                 const ExplorationView& view) {
-  auto& path = paths_[robot];
-  path.resize(static_cast<std::size_t>(view.depth(anchor)) + 1);
-  for (NodeId cur = anchor;; cur = view.parent(cur)) {
-    path[static_cast<std::size_t>(view.depth(cur))] = cur;
-    if (cur == view.root()) break;
-  }
 }
 
 NodeId BfdnAlgorithm::reanchor(const ExplorationView& view,
@@ -170,7 +159,6 @@ void BfdnAlgorithm::select_one(const ExplorationView& view,
       set_anchor(idx, anchor);
       modes_[idx] = Mode::kOutbound;
       inactive_[idx] = 0;
-      rebuild_path(idx, anchor, view);
       selector.note_reanchor(view.depth(anchor));
       if (previous != anchor) {
         selector.note_reanchor_switch(view.depth(anchor));
@@ -182,10 +170,8 @@ void BfdnAlgorithm::select_one(const ExplorationView& view,
     if (pos == anchors_[idx]) {
       modes_[idx] = Mode::kExploring;  // arrived; fall into DN below
     } else if (view.is_ancestor_or_self(pos, anchors_[idx])) {
-      // Procedure BF: one explored edge down towards the anchor
-      // (paths_[idx] caches the root -> anchor path).
-      selector.move_down(
-          i, paths_[idx][static_cast<std::size_t>(view.depth(pos)) + 1]);
+      // Procedure BF: one explored edge down towards the anchor.
+      selector.move_down(i, view.child_toward(pos, anchors_[idx]));
       return;
     } else {
       // Only reachable in the shortcut ablation: climb to the LCA
@@ -208,14 +194,12 @@ void BfdnAlgorithm::select_one(const ExplorationView& view,
       set_anchor(idx, anchor);
       modes_[idx] = Mode::kOutbound;
       inactive_[idx] = 0;
-      rebuild_path(idx, anchor, view);
       selector.note_reanchor(view.depth(anchor));
       if (previous != anchor) {
         selector.note_reanchor_switch(view.depth(anchor));
       }
       if (view.is_ancestor_or_self(pos, anchor)) {
-        selector.move_down(
-            i, paths_[idx][static_cast<std::size_t>(view.depth(pos)) + 1]);
+        selector.move_down(i, view.child_toward(pos, anchor));
       } else {
         selector.move_up(i);
       }
@@ -270,11 +254,8 @@ void BfdnAlgorithm::plan_transit(const ExplorationView& view,
     // anchor (possibly zero steps away) is the event: the first DN
     // decision reads the anchor's live dangling state.
     plan.kind = TransitPlan::Kind::kWalk;
-    const auto from = static_cast<std::size_t>(view.depth(pos)) + 1;
-    const auto to = static_cast<std::size_t>(view.depth(anchor));
-    for (std::size_t d = from; d <= to; ++d) {
-      plan.path.push_back(paths_[idx][d]);
-    }
+    plan.target = anchor;
+    plan.steps = view.depth(anchor) - view.depth(pos);
     return;
   }
   // Procedure DN. A node with an unexplored child edge means the next
@@ -292,12 +273,8 @@ void BfdnAlgorithm::plan_transit(const ExplorationView& view,
   // round running the real try_take_dangling, which falls back to
   // another up-move if the edges are gone.
   plan.kind = TransitPlan::Kind::kWalk;
-  NodeId cur = pos;
-  while (cur != view.root()) {
-    cur = view.parent(cur);
-    plan.path.push_back(cur);
-    if (view.has_unexplored_child_edge(cur)) break;
-  }
+  plan.target = view.nearest_open_ancestor(pos);
+  plan.steps = view.depth(pos) - view.depth(plan.target);
 }
 
 std::vector<NodeId> BfdnAlgorithm::anchors() const { return anchors_; }

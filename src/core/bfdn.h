@@ -3,8 +3,8 @@
 //
 // Robot life cycle: at the root a robot is (re-)anchored to the
 // shallowest open node of minimum load (procedure Reanchor), walks to
-// its anchor along explored edges in breadth-first moves (procedure BF,
-// driven by a stack of path edges), then performs depth-next moves
+// its anchor along explored edges in breadth-first moves (procedure BF),
+// then performs depth-next moves
 // (procedure DN: take an adjacent unreserved dangling edge if any, else
 // go up) until it reaches the root again.
 //
@@ -76,7 +76,7 @@ class BfdnAlgorithm : public Algorithm {
 
   /// Async-safety (per-robot-clock engine). Every BFDN decision is a
   /// function of shared exploration state plus the deciding robot's own
-  /// private (mode, anchor, path) — select_one never reads another
+  /// private (mode, anchor) — select_one never reads another
   /// robot's private state — so activating any subset of robots at a
   /// time step is well-defined and a robot that stays keeps staying
   /// until someone else moves (stay-stability). Holds for all ablation
@@ -84,7 +84,7 @@ class BfdnAlgorithm : public Algorithm {
   ActivationGranularity activation_granularity() const override;
 
   /// Fast-forward support. Every BFDN decision depends only on shared
-  /// exploration state and the robot's own (mode, anchor, path), so BF
+  /// exploration state and the robot's own (mode, anchor), so BF
   /// descents and DN return climbs are committed segments. The shortcut
   /// ablation re-anchors mid-climb when passing the anchor — a decision
   /// point inside what would otherwise be a committed walk — so it
@@ -127,17 +127,8 @@ class BfdnAlgorithm : public Algorithm {
   // anchor_load_[v] == #{j : anchors_[j] == v}; grown lazily (node ids
   // are dense and only explored nodes become anchors).
   std::vector<std::int32_t> anchor_load_;
-  // Memoized path root -> anchors_[i] (paths_[i][d] is the depth-d node
-  // on it), rebuilt once per reanchor. Purely a cache of a function of
-  // the anchor, so navigation stays stateless: the BF next step from an
-  // observed position pos on the path is paths_[i][depth(pos) + 1],
-  // valid no matter how many moves an adversary cancelled.
-  std::vector<std::vector<NodeId>> paths_;
   // Scratch for the kRandom policy's order-statistic selection.
   std::vector<NodeId> random_scratch_;
-
-  void rebuild_path(std::size_t robot, NodeId anchor,
-                    const ExplorationView& view);
 
   /// One robot's turn of the sequential selection loop; shared by
   /// select_moves and select_moves_subset so both modes run the exact

@@ -124,6 +124,18 @@ std::int32_t Tree::degree(NodeId v) const {
   return num_children(v) + (v == root() ? 0 : 1);
 }
 
+NodeId Tree::child_toward(NodeId a, NodeId b) const {
+  BFDN_REQUIRE(a != b && is_ancestor_or_self(a, b),
+               "child_toward needs a proper ancestor");
+  const std::int64_t target = preorder_index_[static_cast<std::size_t>(b)];
+  const auto kids = children(a);
+  const auto after = std::upper_bound(
+      kids.begin(), kids.end(), target, [this](std::int64_t t, NodeId c) {
+        return t < preorder_index_[static_cast<std::size_t>(c)];
+      });
+  return *(after - 1);
+}
+
 std::vector<NodeId> Tree::path_from_root(NodeId v) const {
   std::vector<NodeId> path;
   for (NodeId cur = v; cur != kInvalidNode; cur = parent(cur)) {

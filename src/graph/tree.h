@@ -65,6 +65,12 @@ class Tree {
     return preorder_index_[check_node(v)];
   }
 
+  /// The child of `a` on the path from `a` down to `b`; requires `a` to
+  /// be a proper ancestor of `b`. O(log deg(a)): children are numbered
+  /// in child order by the preorder traversal, so the answer is the
+  /// last child whose preorder index does not exceed b's.
+  NodeId child_toward(NodeId a, NodeId b) const;
+
   /// Nodes of the path root -> v, inclusive (P_T[v] reversed).
   std::vector<NodeId> path_from_root(NodeId v) const;
 

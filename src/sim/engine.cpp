@@ -10,10 +10,12 @@
 namespace bfdn {
 
 using engine_internal::apply_pending_move;
+using engine_internal::apply_walk;
 using engine_internal::apply_walk_step;
 using engine_internal::check_open_node_coverage;
 using engine_internal::flush_reanchor_counts;
 using engine_internal::init_depth_accounting;
+using engine_internal::walk_path;
 
 MoveSelector::MoveSelector(ExplorationState& state,
                            const std::vector<char>& movable)
@@ -24,9 +26,11 @@ MoveSelector::MoveSelector(ExplorationState& state,
 void MoveSelector::reset() {
   std::fill(pending_.begin(), pending_.end(), Pending{});
   reserved_this_round_.clear();
-  std::fill(reanchor_counts_.begin(), reanchor_counts_.end(), 0);
-  std::fill(reanchor_switch_counts_.begin(), reanchor_switch_counts_.end(),
-            0);
+  for (const std::int32_t depth : reanchor_depths_) {
+    reanchor_counts_[static_cast<std::size_t>(depth)] = 0;
+    reanchor_switch_counts_[static_cast<std::size_t>(depth)] = 0;
+  }
+  reanchor_depths_.clear();
 }
 
 void MoveSelector::require_selectable(std::int32_t robot) const {
@@ -94,19 +98,27 @@ void MoveSelector::join_dangling(std::int32_t robot, NodeId token) {
   pending_[static_cast<std::size_t>(robot)] = {Kind::kDownDangling, token};
 }
 
+void MoveSelector::touch_reanchor_depth(std::size_t depth) {
+  if (depth >= reanchor_counts_.size()) {
+    reanchor_counts_.resize(depth + 1, 0);
+    reanchor_switch_counts_.resize(depth + 1, 0);
+  }
+  if (reanchor_counts_[depth] == 0 && reanchor_switch_counts_[depth] == 0) {
+    reanchor_depths_.push_back(static_cast<std::int32_t>(depth));
+  }
+}
+
 void MoveSelector::note_reanchor(std::int32_t depth) {
   BFDN_REQUIRE(depth >= 0, "negative reanchor depth");
   const auto d = static_cast<std::size_t>(depth);
-  if (d >= reanchor_counts_.size()) reanchor_counts_.resize(d + 1, 0);
+  touch_reanchor_depth(d);
   ++reanchor_counts_[d];
 }
 
 void MoveSelector::note_reanchor_switch(std::int32_t depth) {
   BFDN_REQUIRE(depth >= 0, "negative reanchor depth");
   const auto d = static_cast<std::size_t>(depth);
-  if (d >= reanchor_switch_counts_.size()) {
-    reanchor_switch_counts_.resize(d + 1, 0);
-  }
+  touch_reanchor_depth(d);
   ++reanchor_switch_counts_[d];
 }
 
@@ -182,20 +194,18 @@ void init_depth_accounting(const Tree& tree, RunResult& result,
 void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
   const std::vector<std::uint64_t>& reanchors =
       EngineAccess::reanchors(selector);
-  for (std::size_t depth = 0; depth < reanchors.size(); ++depth) {
-    if (reanchors[depth] == 0) continue;
-    result.reanchors_by_depth.add(static_cast<std::int64_t>(depth),
-                                  reanchors[depth]);
-    result.total_reanchors += static_cast<std::int64_t>(reanchors[depth]);
-  }
   const std::vector<std::uint64_t>& switches =
       EngineAccess::reanchor_switches(selector);
-  for (std::size_t depth = 0; depth < switches.size(); ++depth) {
-    if (switches[depth] == 0) continue;
-    result.reanchor_switches_by_depth.add(static_cast<std::int64_t>(depth),
-                                          switches[depth]);
-    result.total_reanchor_switches +=
-        static_cast<std::int64_t>(switches[depth]);
+  for (const std::int32_t depth : EngineAccess::reanchor_depths(selector)) {
+    const auto d = static_cast<std::size_t>(depth);
+    if (reanchors[d] != 0) {
+      result.reanchors_by_depth.add(depth, reanchors[d]);
+      result.total_reanchors += static_cast<std::int64_t>(reanchors[d]);
+    }
+    if (switches[d] != 0) {
+      result.reanchor_switches_by_depth.add(depth, switches[d]);
+      result.total_reanchor_switches += static_cast<std::int64_t>(switches[d]);
+    }
   }
 }
 
@@ -237,6 +247,45 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
   return false;  // unreachable
 }
 
+void apply_walk(const Tree& tree, ExplorationState& state,
+                std::int32_t robot, const TransitPlan& plan,
+                RunResult& result) {
+  const NodeId from = state.robot_pos(robot);
+  const NodeId to = plan.target;
+  if (tree.is_ancestor_or_self(to, from)) {
+    BFDN_CHECK(tree.depth(from) - tree.depth(to) == plan.steps,
+               "committed climb does not end plan.steps levels up");
+    state.record_climb(from, to);
+  } else {
+    BFDN_CHECK(state.is_explored(to) && tree.is_ancestor_or_self(from, to) &&
+                   tree.depth(to) - tree.depth(from) == plan.steps,
+               "committed walk is neither a climb to an ancestor nor a "
+               "descent to an explored descendant plan.steps levels down");
+  }
+  state.set_robot_pos(robot, to);
+  result.robot_moves[static_cast<std::size_t>(robot)] += plan.steps;
+}
+
+void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
+               std::vector<NodeId>& out) {
+  out.clear();
+  if (tree.is_ancestor_or_self(plan.target, from)) {
+    for (NodeId v = from; v != plan.target;) {
+      v = tree.parent(v);
+      out.push_back(v);
+    }
+  } else {
+    BFDN_CHECK(tree.is_ancestor_or_self(from, plan.target),
+               "committed walk is not monotone");
+    for (NodeId v = plan.target; v != from; v = tree.parent(v)) {
+      out.push_back(v);
+    }
+    std::reverse(out.begin(), out.end());
+  }
+  BFDN_CHECK(static_cast<std::int64_t>(out.size()) == plan.steps,
+             "committed walk length does not match plan.steps");
+}
+
 void apply_walk_step(const Tree& tree, ExplorationState& state,
                      std::int32_t robot, NodeId next, RunResult& result) {
   const NodeId cur = state.robot_pos(robot);
@@ -255,17 +304,17 @@ void apply_walk_step(const Tree& tree, ExplorationState& state,
 // Event-driven fast-forward execution (engine_internal::FastForwardRun).
 // Robots alternate between "event rounds", where they run the
 // algorithm's real selection logic, and committed walks
-// (TransitPlan::kWalk), which the engine executes in one batch the
-// moment they are planned: the robot's position, the first-traversal
-// flags and its move counter advance over the whole segment, and the
-// robot is parked until its wake round. Because a committed-segment
-// algorithm decides each robot's move from shared exploration state
-// plus that robot's own private state only, and transit moves touch no
-// shared state another robot's decision reads (traversal flags are
-// write-only bookkeeping; dangling counts only ever decrease),
-// executing the walk eagerly is indistinguishable from interleaving it
-// with the other robots' rounds — the stepped engine would produce
-// exactly the same moves. The round counter advances analytically over
+// (TransitPlan::kWalk), which the engine executes in one apply_walk
+// call the moment they are planned: the robot's position, the
+// first-traversal flags and its move counter advance over the whole
+// segment, and the robot is parked until its wake round. Because a
+// committed-segment algorithm decides each robot's move from shared
+// exploration state plus that robot's own private state only, and
+// transit moves touch no shared state another robot's decision reads
+// (traversal flags are write-only bookkeeping; dangling counts only
+// ever decrease), executing the walk eagerly is indistinguishable from
+// interleaving it with the other robots' rounds — the stepped engine
+// would produce exactly the same moves. The round counter advances analytically over
 // the gaps between events; every accounting rule below mirrors one
 // line of the stepped loop (see docs/MODEL.md). The loop is cut at its
 // event boundaries into an advance() method so the batch executor can
@@ -287,10 +336,10 @@ FastForwardRun::FastForwardRun(const Tree& tree, Algorithm& algorithm,
   init_depth_accounting(tree, result_, unexplored_at_depth_);
   algorithm_.begin(view_);
   woken_.reserve(static_cast<std::size_t>(k));
+  next_event_round_ = earliest_wake();
 }
 
-std::int64_t FastForwardRun::next_event_round() const {
-  // Next event round: the earliest wake among non-parked robots.
+std::int64_t FastForwardRun::earliest_wake() const {
   std::int64_t event_round = max_rounds_ + 1;
   for (std::int32_t i = 0; i < k_; ++i) {
     if (!parked_[static_cast<std::size_t>(i)]) {
@@ -303,7 +352,7 @@ std::int64_t FastForwardRun::next_event_round() const {
 
 bool FastForwardRun::advance() {
   if (done_) return false;
-  const std::int64_t event_round = next_event_round();
+  const std::int64_t event_round = next_event_round_;
 
   // Gap rounds (result.rounds, event_round): every non-parked robot is
   // mid-walk and moves in each of them, so they all count; parked
@@ -359,16 +408,12 @@ bool FastForwardRun::advance() {
   if (!any_move) {
     // A mid-walk robot (wake beyond this round) still moves this
     // round; only if nobody moves is this Algorithm 1's terminal
-    // all-stay round, which is not counted.
-    bool walker_moving = false;
-    for (std::int32_t i = 0; i < k_; ++i) {
-      if (!parked_[static_cast<std::size_t>(i)] &&
-          wake_[static_cast<std::size_t>(i)] > event_round) {
-        walker_moving = true;
-        break;
-      }
-    }
-    if (!walker_moving) {
+    // all-stay round, which is not counted. Every non-parked robot
+    // wakes at event_round or later, and the woken ones wake exactly
+    // then, so the others are the walkers.
+    const auto walkers = static_cast<std::int64_t>(k_) - num_parked_ -
+                         static_cast<std::int64_t>(woken_.size());
+    if (walkers == 0) {
       done_ = true;
       return false;
     }
@@ -394,10 +439,9 @@ bool FastForwardRun::advance() {
 
   // Re-plan every woken robot from the post-MOVE state and execute
   // committed walks immediately; the walk's steps occupy rounds
-  // event_round + 1 .. event_round + len.
+  // event_round + 1 .. event_round + steps.
   for (std::int32_t i : woken_) {
-    plan_.kind = TransitPlan::Kind::kEvent;
-    plan_.path.clear();
+    plan_ = TransitPlan{};
     algorithm_.plan_transit(view_, i, plan_);
     switch (plan_.kind) {
       case TransitPlan::Kind::kStayForever:
@@ -408,20 +452,25 @@ bool FastForwardRun::advance() {
         wake_[static_cast<std::size_t>(i)] = event_round + 1;
         break;
       case TransitPlan::Kind::kWalk: {
-        const auto full_len = static_cast<std::int64_t>(plan_.path.size());
-        const std::int64_t len =
-            std::min(full_len, max_rounds_ - event_round);
-        for (std::int64_t s = 0; s < len; ++s) {
-          apply_walk_step(tree_, state_, i,
-                          plan_.path[static_cast<std::size_t>(s)], result_);
+        const std::int64_t budget = max_rounds_ - event_round;
+        if (plan_.steps <= budget) {
+          apply_walk(tree_, state_, i, plan_, result_);
+          wake_[static_cast<std::size_t>(i)] = event_round + plan_.steps + 1;
+          break;
         }
-        // A limit-capped walk parks the robot just past the horizon.
-        wake_[static_cast<std::size_t>(i)] =
-            len < full_len ? max_rounds_ + 1 : event_round + len + 1;
+        // A limit-capped walk: its first `budget` steps fit before the
+        // horizon, and the robot is parked just past it.
+        walk_path(tree_, state_.robot_pos(i), plan_, capped_walk_);
+        for (std::int64_t s = 0; s < budget; ++s) {
+          apply_walk_step(tree_, state_, i,
+                          capped_walk_[static_cast<std::size_t>(s)], result_);
+        }
+        wake_[static_cast<std::size_t>(i)] = max_rounds_ + 1;
         break;
       }
     }
   }
+  next_event_round_ = earliest_wake();
   return true;
 }
 
@@ -476,8 +525,9 @@ RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
 ///
 /// Two sub-modes, equivalent for committed-segment algorithms:
 ///  * plan-batched (default): after each selection the robot's transit
-///    is planned once (plan_transit) and a kWalk path is replayed one
-///    step per activation without calling back into the algorithm;
+///    is planned once (plan_transit), and a kWalk is materialized once
+///    (walk_path) and replayed one step per activation without calling
+///    back into the algorithm;
 ///    kStayForever parks the robot — it keeps its activation slots
 ///    (stay accounting) but never selects again.
 ///  * stepped fallback: every activation runs real selection. Forced by
@@ -636,8 +686,7 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
     if (batched) {
       for (std::int32_t i : selecting) {
         const auto s = static_cast<std::size_t>(i);
-        plan.kind = TransitPlan::Kind::kEvent;
-        plan.path.clear();
+        plan = TransitPlan{};
         algorithm.plan_transit(view, i, plan);
         switch (plan.kind) {
           case TransitPlan::Kind::kStayForever:
@@ -648,9 +697,8 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
             walk_pos[s] = 0;
             break;
           case TransitPlan::Kind::kWalk:
-            walk_of[s] = std::move(plan.path);
+            walk_path(tree, state.robot_pos(i), plan, walk_of[s]);
             walk_pos[s] = 0;
-            plan.path.clear();
             break;
         }
       }

@@ -86,7 +86,8 @@ class MoveSelector {
   MoveSelector(ExplorationState& state, const std::vector<char>& movable);
 
   /// Clears all selections, reservations and reanchor counts for the
-  /// next round, keeping buffer capacity.
+  /// next round, keeping buffer capacity. Visits only the depths whose
+  /// reanchor counters were touched since the last reset.
   void reset();
 
   /// Robot stays put (the paper's ⊥).
@@ -137,6 +138,9 @@ class MoveSelector {
  private:
   friend struct EngineAccess;
   void require_selectable(std::int32_t robot) const;
+  /// Sizes both reanchor counters for `depth` and lists the depth in
+  /// reanchor_depths_ on its first count since the last reset.
+  void touch_reanchor_depth(std::size_t depth);
 
   ExplorationState& state_;
   const std::vector<char>& movable_;
@@ -147,6 +151,10 @@ class MoveSelector {
   // allocation-free once warmed up to the deepest anchor seen).
   std::vector<std::uint64_t> reanchor_counts_;
   std::vector<std::uint64_t> reanchor_switch_counts_;
+  // Depths with a non-zero count in either vector, in first-touch
+  // order: reset() and the engine's flush visit only these, so their
+  // cost is independent of the deepest anchor seen.
+  std::vector<std::int32_t> reanchor_depths_;
 };
 
 /// Whether an algorithm can expose per-robot committed transit segments
@@ -177,10 +185,12 @@ enum class ActivationGranularity : std::uint8_t {
 /// robot's move in an event round:
 ///  - kEvent: the robot's very next selection depends on shared state
 ///    (it may reanchor, take a dangling edge, ...); wake it next round.
-///  - kWalk: the robot will deterministically traverse `path` (one node
-///    per round, each step an up-move to the parent or a down-move along
-///    an already-explored edge), then needs a fresh selection on the
-///    round after arrival. An empty path is equivalent to kEvent.
+///  - kWalk: the robot will deterministically walk the monotone path to
+///    `target`, one node per round — either a climb to the ancestor
+///    `steps` levels up or a descent along already-explored edges to
+///    the explored descendant `steps` levels down — then needs a fresh
+///    selection on the round after arrival. steps == 0 (target == the
+///    robot's position) is equivalent to kEvent.
 ///  - kStayForever: the robot selects stay (the paper's ⊥) in every
 ///    remaining round of the run, no matter how the state evolves.
 /// The contract is that replaying the stepped engine would produce
@@ -189,7 +199,8 @@ enum class ActivationGranularity : std::uint8_t {
 struct TransitPlan {
   enum class Kind : std::uint8_t { kEvent, kWalk, kStayForever };
   Kind kind = Kind::kEvent;
-  std::vector<NodeId> path;  // kWalk only; nodes visited, in order
+  NodeId target = kInvalidNode;  // kWalk only: where the walk ends
+  std::int32_t steps = 0;        // kWalk only: its length in moves
 };
 
 /// A collaborative exploration algorithm in the complete-communication
@@ -235,8 +246,8 @@ class Algorithm {
 
   /// Fast-forward planning hook, called for robot `robot` immediately
   /// after its move in an event round (post-MOVE state). Fills `plan`
-  /// (cleared by the engine beforehand) with the robot's committed
-  /// segment. Only called when transit_capability() is
+  /// (reset to kEvent by the engine beforehand) with the robot's
+  /// committed segment. Only called when transit_capability() is
   /// kCommittedSegments.
   virtual void plan_transit(const ExplorationView& view, std::int32_t robot,
                             TransitPlan& plan);

@@ -29,6 +29,10 @@ struct EngineAccess {
       const MoveSelector& sel) {
     return sel.reanchor_switch_counts_;
   }
+  static const std::vector<std::int32_t>& reanchor_depths(
+      const MoveSelector& sel) {
+    return sel.reanchor_depths_;
+  }
   static const std::vector<std::pair<NodeId, NodeId>>& reservations(
       const MoveSelector& sel) {
     return sel.reserved_this_round_;
@@ -62,11 +66,30 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
                         std::vector<std::int64_t>& unexplored_at_depth,
                         RunResult& result, std::int64_t commit_round);
 
-/// One step of a committed walk (TransitPlan::kWalk): validates the
-/// step, records the traversal and advances the robot. Shared between
-/// the fast-forward engine (which executes whole walks eagerly), the
-/// async engine (which replays them one activation at a time) and the
-/// batch executor.
+/// A whole committed walk (TransitPlan::kWalk) in one call: validates
+/// it, records its traversals and moves the robot to plan.target. A
+/// climb must end at the ancestor exactly plan.steps levels up; its
+/// upward first-traversal flags are set through
+/// ExplorationState::record_climb. A descent must end at an explored
+/// node exactly plan.steps levels down; the explored set is
+/// ancestor-closed, so every step is an explored down-move, and it
+/// sets no flag (every explored non-root node's down-edge was
+/// traversed when it was discovered). Near-O(1) amortized; used by the
+/// fast-forward engine, which executes walks eagerly.
+void apply_walk(const Tree& tree, ExplorationState& state,
+                std::int32_t robot, const TransitPlan& plan,
+                RunResult& result);
+
+/// The nodes a committed walk from `from` visits, in order (excluding
+/// `from`), written into `out`. O(plan.steps); for the consumers that
+/// step a walk one node at a time: the async engine, which replays it
+/// one activation at a time, and the fast-forward engine when the
+/// round limit cuts a walk short.
+void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
+               std::vector<NodeId>& out);
+
+/// One step of a materialized committed walk: validates the step,
+/// records the traversal and advances the robot.
 void apply_walk_step(const Tree& tree, ExplorationState& state,
                      std::int32_t robot, NodeId next, RunResult& result);
 
@@ -88,7 +111,8 @@ class FastForwardRun {
 
   /// Round of the next pending selection event; max_rounds + 1 when
   /// every robot is parked or capped (the next advance() terminates).
-  std::int64_t next_event_round() const;
+  /// O(1): cached at the end of every advance().
+  std::int64_t next_event_round() const { return next_event_round_; }
 
   bool done() const { return done_; }
 
@@ -118,9 +142,15 @@ class FastForwardRun {
   std::vector<char> parked_;
   std::int64_t num_parked_ = 0;
   std::vector<std::int32_t> woken_;
-  TransitPlan plan_;  // reused; path keeps its capacity across events
+  std::int64_t next_event_round_ = 1;
+  TransitPlan plan_;
+  // Nodes of a walk the round limit cuts short (reused across events).
+  std::vector<NodeId> capped_walk_;
   bool done_ = false;
   bool finished_ = false;
+
+  /// The earliest wake among non-parked robots (max_rounds + 1 if none).
+  std::int64_t earliest_wake() const;
 };
 
 }  // namespace engine_internal

@@ -1,6 +1,7 @@
 #include "sim/exploration_state.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/rng.h"
 
@@ -20,6 +21,9 @@ ExplorationState::ExplorationState(const Tree& tree, std::int32_t num_robots)
   reserved_.assign(n, 0);
   traversed_down_.assign(n, 0);
   traversed_up_.assign(n, 0);
+  up_skip_.resize(n);
+  std::iota(up_skip_.begin(), up_skip_.end(), NodeId{0});
+  open_skip_ = up_skip_;
 
   // CSR dangling pool: one contiguous copy of every child list. A
   // node's slice starts pristine and is only consumed/recycled after
@@ -130,7 +134,12 @@ void ExplorationState::commit_dangling(NodeId u, NodeId child) {
   BFDN_CHECK(tree_.parent(child) == u, "edge does not hang off u");
   BFDN_CHECK(!is_explored(child), "child explored twice");
   --reserved_[static_cast<std::size_t>(u)];
-  if (num_unexplored_child_edges(u) == 0) mark_closed(u);
+  if (num_unexplored_child_edges(u) == 0) {
+    mark_closed(u);
+    if (u != tree_.root()) {
+      open_skip_[static_cast<std::size_t>(u)] = tree_.parent(u);
+    }
+  }
 
   explored_[static_cast<std::size_t>(child)] = 1;
   ++num_explored_;
@@ -138,7 +147,11 @@ void ExplorationState::commit_dangling(NodeId u, NodeId child) {
   // once), so arming its dangling edges is a counter write.
   const std::int32_t kids = tree_.num_children(child);
   dangling_count_[static_cast<std::size_t>(child)] = kids;
-  if (kids > 0) mark_open(child);
+  if (kids > 0) {
+    mark_open(child);
+  } else {
+    open_skip_[static_cast<std::size_t>(child)] = u;  // a leaf: closed
+  }
 }
 
 std::int32_t ExplorationState::min_open_depth() const {
@@ -170,7 +183,39 @@ bool ExplorationState::record_traversal(NodeId child, bool downward) {
   if (flag) return false;
   flag = 1;
   ++edge_events_;
+  if (!downward && child != tree_.root()) {
+    up_skip_[static_cast<std::size_t>(child)] = tree_.parent(child);
+  }
   return true;
+}
+
+NodeId ExplorationState::find_skip(std::vector<NodeId>& skip, NodeId v) {
+  while (skip[static_cast<std::size_t>(v)] != v) {
+    const NodeId next = skip[static_cast<std::size_t>(
+        skip[static_cast<std::size_t>(v)])];
+    skip[static_cast<std::size_t>(v)] = next;
+    v = next;
+  }
+  return v;
+}
+
+void ExplorationState::record_climb(NodeId from, NodeId to) {
+  BFDN_REQUIRE(tree_.is_ancestor_or_self(to, from),
+               "record_climb target is not an ancestor");
+  const std::int32_t stop = tree_.depth(to);
+  // Every node find_skip lands on below `to` has its up-edge untraversed.
+  for (NodeId v = find_skip(up_skip_, from); tree_.depth(v) > stop;
+       v = find_skip(up_skip_, v)) {
+    traversed_up_[static_cast<std::size_t>(v)] = 1;
+    ++edge_events_;
+    up_skip_[static_cast<std::size_t>(v)] = tree_.parent(v);
+  }
+}
+
+NodeId ExplorationState::nearest_open_ancestor(NodeId v) const {
+  BFDN_REQUIRE(is_explored(v) && v != tree_.root(),
+               "return climb from the root or an unexplored node");
+  return find_skip(open_skip_, tree_.parent(v));
 }
 
 std::uint64_t ExplorationState::state_hash() const {
@@ -258,6 +303,11 @@ std::vector<NodeId> ExplorationView::explored_children(NodeId v) const {
     if (state_.is_explored(c)) out.push_back(c);
   }
   return out;
+}
+
+NodeId ExplorationView::child_toward(NodeId a, NodeId b) const {
+  BFDN_REQUIRE(state_.is_explored(b), "step towards an unexplored node");
+  return state_.tree().child_toward(a, b);
 }
 
 std::vector<NodeId> ExplorationView::path_from_root(NodeId v) const {

@@ -23,6 +23,14 @@
 //    move the slice boundary.
 // Accessors hand out const references into the buckets instead of
 // copies; see the invalidation contract on open_nodes_at_depth.
+//
+// Committed walks. Two path-compressed skip arrays make a whole
+// monotone walk cost near-O(1) amortized instead of O(length): one
+// skips runs of edges already traversed upwards (record_climb), the
+// other skips runs of closed nodes (nearest_open_ancestor). Both only
+// ever link a node to an ancestor, and both properties they skip are
+// monotone (a traversed edge stays traversed, a closed node stays
+// closed), so a link never goes stale.
 #pragma once
 
 #include <cstdint>
@@ -103,7 +111,19 @@ class ExplorationState {
   /// returns true iff this is the first traversal in that direction
   /// (an "edge event").
   bool record_traversal(NodeId child, bool downward);
+  /// Marks the upward traversal of every edge on the path from `from`
+  /// up to its ancestor-or-self `to`, exactly as record_traversal(v,
+  /// false) for each node v on it below `to` would. Near-O(1)
+  /// amortized: edges already traversed upwards are skipped in runs, so
+  /// each edge is flagged once per run and then skipped.
+  void record_climb(NodeId from, NodeId to);
   std::int64_t edge_events() const { return edge_events_; }
+
+  /// First proper ancestor of the explored non-root node v that still
+  /// has an unexplored child edge, or the root if there is none: the
+  /// end of a depth-next return climb from v. Near-O(1) amortized
+  /// (closed nodes are skipped in runs; a closed node stays closed).
+  NodeId nearest_open_ancestor(NodeId v) const;
 
   std::int64_t num_explored_nodes() const { return num_explored_; }
 
@@ -119,6 +139,9 @@ class ExplorationState {
  private:
   void mark_open(NodeId u);
   void mark_closed(NodeId u);
+  /// Representative of v in a skip array: follows links to the first
+  /// self-linked node, halving the path on the way.
+  static NodeId find_skip(std::vector<NodeId>& skip, NodeId v);
 
   const Tree& tree_;
   std::int32_t num_robots_;
@@ -151,6 +174,16 @@ class ExplorationState {
   // Per edge (keyed by child id): first-traversal flags down/up.
   std::vector<char> traversed_down_;
   std::vector<char> traversed_up_;
+  // up_skip_[v]: v itself while edge (parent(v), v) is untraversed
+  // upwards (and for the root), else an ancestor u such that every
+  // edge from v up to u has been traversed upwards.
+  std::vector<NodeId> up_skip_;
+  // open_skip_[v]: v itself unless v is an explored non-root node with
+  // no unexplored child edge, else an ancestor u such that every node
+  // from v up to (excluding) u is closed. Path compression in the const
+  // query nearest_open_ancestor only shortens links; it changes no
+  // observable state, but two threads must not query one state at once.
+  mutable std::vector<NodeId> open_skip_;
   std::int64_t edge_events_ = 0;
   std::int64_t num_explored_ = 0;
 };
@@ -229,9 +262,17 @@ class ExplorationView {
   /// Ancestor relation within the discovered tree (both explored).
   bool is_ancestor_or_self(NodeId a, NodeId b) const;
   /// Ancestor of v at the given depth (<= depth(v)), both explored.
-  /// Allocation-free; the next BF step towards an anchor from pos is
-  /// ancestor_at_depth(anchor, depth(pos) + 1).
+  /// Allocation-free, O(depth(v) - target_depth).
   NodeId ancestor_at_depth(NodeId v, std::int32_t target_depth) const;
+  /// The next step down from a towards its explored proper descendant
+  /// b (the BF step towards an anchor). O(log deg(a)); see
+  /// Tree::child_toward.
+  NodeId child_toward(NodeId a, NodeId b) const;
+  /// End of a depth-next return climb from the explored non-root node
+  /// v; see ExplorationState::nearest_open_ancestor.
+  NodeId nearest_open_ancestor(NodeId v) const {
+    return state_.nearest_open_ancestor(v);
+  }
 
  private:
   const ExplorationState& state_;

@@ -37,8 +37,11 @@ void set_nodelay(int fd) {
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      scanned_(other.scanned_) {
   other.fd_ = -1;
+  other.scanned_ = 0;
 }
 
 Socket& Socket::operator=(Socket&& other) noexcept {
@@ -46,7 +49,9 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     close();
     fd_ = other.fd_;
     buffer_ = std::move(other.buffer_);
+    scanned_ = other.scanned_;
     other.fd_ = -1;
+    other.scanned_ = 0;
   }
   return *this;
 }
@@ -69,12 +74,16 @@ bool Socket::send_all(const std::string& data) {
 
 std::optional<std::string> Socket::recv_line() {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    // Only the bytes appended since the last scan can hold the newline,
+    // so a long line costs linear, not quadratic, scanning.
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return line;
     }
+    scanned_ = buffer_.size();
     if (fd_ < 0) break;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -85,11 +94,10 @@ std::optional<std::string> Socket::recv_line() {
     if (n == 0) break;  // EOF
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  if (!buffer_.empty()) {
-    std::string line = std::move(buffer_);
-    buffer_.clear();
-    return line;
-  }
+  // EOF or error: a fragment without its '\n' is a truncated line, not
+  // a request, so it is dropped rather than returned.
+  buffer_.clear();
+  scanned_ = 0;
   return std::nullopt;
 }
 
@@ -107,6 +115,7 @@ std::optional<std::string> Socket::recv_exact(std::size_t n) {
   }
   std::string payload = buffer_.substr(0, n);
   buffer_.erase(0, n);
+  scanned_ = 0;
   return payload;
 }
 

@@ -33,8 +33,9 @@ class Socket {
   bool send_all(const std::string& data);
 
   /// Reads up to and including the next '\n'; returns the line without
-  /// its terminator. std::nullopt on EOF / connection error. A final
-  /// unterminated fragment before EOF is returned as a line.
+  /// its terminator. std::nullopt on EOF / connection error; a final
+  /// unterminated fragment before EOF is dropped, never returned.
+  /// Linear in the line length: each received byte is scanned once.
   std::optional<std::string> recv_line();
 
   /// Reads exactly `n` raw bytes (consuming any bytes already buffered
@@ -52,6 +53,8 @@ class Socket {
  private:
   int fd_ = -1;
   std::string buffer_;  // bytes received past the last returned line
+  // Prefix of buffer_ already searched for '\n' by recv_line.
+  std::size_t scanned_ = 0;
 };
 
 /// Listening socket bound to 127.0.0.1. port 0 picks an ephemeral port;

@@ -199,6 +199,57 @@ TEST(BatchExecutorTest, MidBatchRoundCapParity) {
   EXPECT_FALSE(results[3].hit_round_limit);
 }
 
+// Deep trees shaped like the served miss-deep load (n=3000): long
+// committed walks interleaved across members, with round caps that cut
+// some of them mid-walk.
+TEST(BatchExecutorTest, DeepTreesBatchedEqualsSolo) {
+  Rng rng(17);
+  std::vector<std::pair<std::string, Tree>> trees;
+  trees.emplace_back("caterpillar750x3", make_caterpillar(750, 3));
+  trees.emplace_back("spider8x375", make_spider(8, 375));
+  trees.emplace_back("fixed-depth3000d40",
+                     make_tree_with_depth(3000, 40, rng));
+
+  struct Cell {
+    Kind kind;
+    std::int32_t k;
+    std::uint64_t seed;
+    std::int64_t max_rounds;  // 0 = default limit
+  };
+  const std::vector<Cell> cells = {
+      {Kind::kBfdn, 16, 1, 0},       {Kind::kBfdn, 64, 1, 0},
+      {Kind::kBfdnRandom, 16, 5, 0}, {Kind::kBfdnRandom, 64, 9, 0},
+      {Kind::kDnSwarm, 16, 1, 0},    {Kind::kDnSwarm, 64, 1, 0},
+      {Kind::kBfdn, 16, 1, 613},     {Kind::kBfdn, 64, 1, 211}};
+  for (const auto& [tree_name, tree] : trees) {
+    BatchExecutor batch(tree);
+    for (const Cell& cell : cells) {
+      RunConfig config;
+      config.num_robots = cell.k;
+      config.max_rounds = cell.max_rounds;
+      batch.add_member(make_kind(cell.kind, tree, cell.k, cell.seed),
+                       config);
+    }
+    const std::vector<RunResult> results = batch.run();
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const Cell& cell = cells[i];
+      const auto solo = make_kind(cell.kind, tree, cell.k, cell.seed);
+      RunConfig config;
+      config.num_robots = cell.k;
+      config.max_rounds = cell.max_rounds;
+      expect_same_result(results[i], run_exploration(tree, *solo, config),
+                         tree_name + "/" + kind_name(cell.kind) + "/k=" +
+                             std::to_string(cell.k) + "/cap=" +
+                             std::to_string(cell.max_rounds));
+    }
+    EXPECT_EQ(batch.stats().interleaved,
+              static_cast<std::int64_t>(cells.size()));
+    EXPECT_TRUE(results[6].hit_round_limit) << tree_name;
+    EXPECT_TRUE(results[7].hit_round_limit) << tree_name;
+  }
+}
+
 // Results come back in add_member order no matter how the interleaving
 // schedules the runs; reversing the add order permutes the results the
 // same way.

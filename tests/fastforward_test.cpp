@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "adversarial/async_scheduler.h"
 #include "baselines/depth_next_only.h"
 #include "core/bfdn.h"
 #include "graph/generators.h"
 #include "graph/tree_io.h"
 #include "sim/engine.h"
+#include "support/rng.h"
 #include "verify/fuzz.h"
 #include "verify/spec.h"
 
@@ -191,10 +193,17 @@ TEST(FastForward, GoldenCellsAgreeFieldByField) {
 }
 
 TEST(FastForward, DnSwarmAgrees) {
-  const Tree trees[] = {make_comb(30, 10), make_caterpillar(100, 3),
-                        make_star(150), make_spider(5, 40)};
+  Rng rng(17);
+  // The last three are the deep shapes of make_deep_cells below.
+  const Tree trees[] = {make_comb(30, 10),
+                        make_caterpillar(100, 3),
+                        make_star(150),
+                        make_spider(5, 40),
+                        make_caterpillar(750, 3),
+                        make_spider(8, 375),
+                        make_tree_with_depth(3000, 40, rng)};
   for (const Tree& tree : trees) {
-    for (std::int32_t k : {1, 3, 16}) {
+    for (std::int32_t k : {1, 3, 16, 64}) {
       SCOPED_TRACE(testing::Message() << "n=" << tree.num_nodes()
                                       << " k=" << k);
       const auto run_dn = [&](bool ff) {
@@ -223,6 +232,75 @@ TEST(FastForward, RoundCapsLandingMidTransitAgree) {
     SCOPED_TRACE(testing::Message() << "cap=" << cap);
     expect_equal_runs(run_cell(cell, /*fast_forward=*/true, cap),
                       run_cell(cell, /*fast_forward=*/false, cap));
+  }
+}
+
+/// Deep trees shaped like the served miss-deep load (n=3000): a
+/// caterpillar (D=750), an 8-arm spider (D=375) and a fixed-depth-40
+/// random tree, each at k 16 and 64. Their committed walks run for
+/// hundreds of rounds, which the golden grid above never reaches.
+std::vector<FfCell> make_deep_cells() {
+  std::vector<FfCell> cells;
+  for (const std::int32_t k : {16, 64}) {
+    const std::string suffix = "/bfdn-ll/k" + std::to_string(k);
+    cells.push_back({"caterpillar750x3" + suffix, make_caterpillar(750, 3),
+                     bfdn_spec(k), ScheduleSpec{}});
+    cells.push_back({"spider8x375" + suffix, make_spider(8, 375),
+                     bfdn_spec(k), ScheduleSpec{}});
+    Rng rng(17);
+    cells.push_back({"fixed-depth3000d40" + suffix,
+                     make_tree_with_depth(3000, 40, rng), bfdn_spec(k),
+                     ScheduleSpec{}});
+  }
+  return cells;
+}
+
+TEST(FastForward, DeepCellsAgreeIncludingMidWalkCaps) {
+  for (const FfCell& cell : make_deep_cells()) {
+    SCOPED_TRACE(cell.name);
+    const RunResult full = run_cell(cell, /*fast_forward=*/true);
+    EXPECT_TRUE(full.complete);
+    expect_equal_runs(full, run_cell(cell, /*fast_forward=*/false));
+    // Caps landing inside long descents and return climbs.
+    for (const std::int64_t cap :
+         {std::int64_t{97}, full.rounds / 3, full.rounds / 2 + 1,
+          full.rounds - 5}) {
+      SCOPED_TRACE(testing::Message() << "cap=" << cap);
+      expect_equal_runs(run_cell(cell, /*fast_forward=*/true, cap),
+                        run_cell(cell, /*fast_forward=*/false, cap));
+    }
+  }
+}
+
+TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
+  // The served async recipe (fixed rate, period 2, two slow robots):
+  // the plan-batched async loop materializes each committed walk once;
+  // an observer forces the stepped sub-mode, which must agree exactly.
+  class LastRound : public RoundObserver {
+   public:
+    void on_round(std::int64_t round, const ExplorationState&) override {
+      last = round;
+    }
+    std::int64_t last = -1;
+  };
+  for (const FfCell& cell : make_deep_cells()) {
+    SCOPED_TRACE(cell.name);
+    const auto run_async = [&](RoundObserver* observer) {
+      BfdnAlgorithm algorithm(cell.algo.k);
+      FixedRateScheduler schedule(cell.algo.k, 2, 2);
+      RunConfig config;
+      config.num_robots = cell.algo.k;
+      config.async = &schedule;
+      config.observer = observer;
+      return run_exploration(cell.tree, algorithm, config);
+    };
+    const RunResult batched = run_async(nullptr);
+    LastRound observer;
+    const RunResult stepped = run_async(&observer);
+    EXPECT_TRUE(batched.complete);
+    expect_equal_runs(batched, stepped);
+    EXPECT_EQ(batched.total_activations, stepped.total_activations);
+    EXPECT_EQ(observer.last, stepped.rounds);  // the makespan
   }
 }
 

@@ -3,6 +3,7 @@
 // control, and the end-to-end contract — a served run is bit-identical
 // to the same run through the engine directly.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <memory>
@@ -676,6 +677,33 @@ TEST(ServiceEndToEndTest, DrainFinishesInFlightJobs) {
 
   // The listener is gone: new connections are refused.
   EXPECT_THROW(connect_local(server.port(), 1000), CheckError);
+}
+
+TEST(ServiceEndToEndTest, UnterminatedLineBeforeHalfCloseIsNotExecuted) {
+  ServiceServer server(server_options(2, 16, 16));
+  server.start();
+  const std::string request = serialize_request(golden_request());
+
+  // A whole request document without its '\n', then a half-close: the
+  // server reads EOF mid-line and must drop the fragment unanswered.
+  // (A served fragment would answer within milliseconds; the client
+  // times out after one second instead.)
+  Socket truncated = connect_local(server.port(), 1000);
+  ASSERT_TRUE(truncated.send_all(request));
+  ASSERT_EQ(::shutdown(truncated.fd(), SHUT_WR), 0);
+  EXPECT_FALSE(truncated.recv_line().has_value());
+  EXPECT_EQ(server.scheduler_stats().admitted, 0);
+  EXPECT_EQ(server.cache_stats().misses, 0);
+  EXPECT_EQ(server.protocol_errors(), 0);
+
+  // The same bytes with their terminator are served.
+  Socket whole = connect_local(server.port(), 30000);
+  ASSERT_TRUE(whole.send_all(request + "\n"));
+  const auto response = whole.recv_line();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_NE(response->find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_EQ(server.scheduler_stats().admitted, 1);
+  server.drain();
 }
 
 TEST(ServiceEndToEndTest, OversizedAndMalformedRequestsAreRejected) {

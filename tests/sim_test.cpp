@@ -7,6 +7,7 @@
 #include "sim/engine.h"
 #include "sim/exploration_state.h"
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace bfdn {
 namespace {
@@ -66,6 +67,113 @@ TEST(ExplorationStateTest, ReserveOnEmptyPoolThrows) {
   ExplorationState s(t, 1);
   (void)s.reserve_dangling(0);
   EXPECT_THROW(s.reserve_dangling(0), CheckError);
+}
+
+/// Linear-scan reference for nearest_open_ancestor: climb until a node
+/// with an unexplored child edge, or the root.
+NodeId naive_open_ancestor(const ExplorationState& s, NodeId v) {
+  NodeId cur = s.tree().parent(v);
+  while (cur != s.tree().root() &&
+         s.num_unexplored_child_edges(cur) == 0) {
+    cur = s.tree().parent(cur);
+  }
+  return cur;
+}
+
+/// Drives `fast` (record_climb, nearest_open_ancestor) and `slow`
+/// (per-edge record_traversal, linear scans) through the same random
+/// exploration and climb order on `t`, checking after every step that
+/// flags, edge events and state hashes agree.
+void expect_walk_primitives_match_reference(const Tree& t,
+                                            std::uint64_t seed) {
+  ExplorationState fast(t, 1);
+  ExplorationState slow(t, 1);
+  Rng rng(seed);
+  std::vector<NodeId> explored{t.root()};
+  const auto pick = [&rng](const std::vector<NodeId>& from) {
+    return from[static_cast<std::size_t>(rng.next_below(from.size()))];
+  };
+  while (!fast.exploration_complete()) {
+    // Discover one edge at a random open node, identically in both.
+    const NodeId u = pick(fast.open_nodes());
+    const NodeId child = fast.reserve_dangling(u);
+    ASSERT_EQ(slow.reserve_dangling(u), child);
+    for (ExplorationState* s : {&fast, &slow}) {
+      s->commit_dangling(u, child);
+      s->record_traversal(child, /*downward=*/true);
+    }
+    explored.push_back(child);
+
+    // Climbs from random explored nodes to random ancestors; one in
+    // three goes edge by edge in both states, so record_climb also
+    // skips edges that per-edge traversals marked.
+    for (int j = 0; j < 3; ++j) {
+      const NodeId from = pick(explored);
+      NodeId to = from;
+      for (std::uint64_t up = rng.next_below(
+               static_cast<std::uint64_t>(t.depth(from)) + 1);
+           up > 0; --up) {
+        to = t.parent(to);
+      }
+      const bool per_edge = rng.next_below(3) == 0;
+      for (NodeId v = from; v != to; v = t.parent(v)) {
+        slow.record_traversal(v, /*downward=*/false);
+        if (per_edge) fast.record_traversal(v, /*downward=*/false);
+      }
+      if (!per_edge) fast.record_climb(from, to);
+      ASSERT_EQ(fast.edge_events(), slow.edge_events())
+          << t.summary() << " " << from << "->" << to;
+    }
+    ASSERT_EQ(fast.state_hash(), slow.state_hash()) << t.summary();
+
+    for (const NodeId v : explored) {
+      if (v == t.root()) continue;
+      ASSERT_EQ(fast.nearest_open_ancestor(v), naive_open_ancestor(slow, v))
+          << t.summary() << " v=" << v;
+    }
+  }
+  // Finish with a full climb home from every explored node: every
+  // edge's up flag is then set, exactly as the reference's.
+  for (const NodeId v : explored) {
+    fast.record_climb(v, t.root());
+    for (NodeId w = v; w != t.root(); w = t.parent(w)) {
+      slow.record_traversal(w, /*downward=*/false);
+    }
+  }
+  EXPECT_EQ(fast.edge_events(), 2 * t.num_edges());
+  EXPECT_EQ(fast.edge_events(), slow.edge_events());
+  EXPECT_EQ(fast.state_hash(), slow.state_hash());
+}
+
+TEST(ExplorationStateTest, WalkPrimitivesMatchPerEdgeReference) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed * 101);
+    const Tree trees[] = {make_caterpillar(60, 3),
+                          make_spider(6, 25),
+                          make_path(90),
+                          make_comb(12, 8),
+                          make_random_recursive(200, rng),
+                          make_random_leafy(200, 4, rng),
+                          make_tree_with_depth(200, 20, rng)};
+    for (const Tree& t : trees) {
+      SCOPED_TRACE(testing::Message() << t.summary() << " seed=" << seed);
+      expect_walk_primitives_match_reference(t, seed);
+    }
+  }
+}
+
+TEST(ExplorationStateTest, WalkPrimitivesRejectBadArguments) {
+  const Tree t = make_path(4);
+  ExplorationState s(t, 1);
+  EXPECT_THROW(s.record_climb(0, 2), CheckError);  // 2 is below 0
+  EXPECT_THROW(s.nearest_open_ancestor(t.root()), CheckError);
+  EXPECT_THROW(s.nearest_open_ancestor(2), CheckError);  // unexplored
+  s.record_climb(3, 3);
+  EXPECT_EQ(s.edge_events(), 0);
+  s.record_climb(3, 1);
+  EXPECT_EQ(s.edge_events(), 2);
+  s.record_climb(3, 0);
+  EXPECT_EQ(s.edge_events(), 3);  // only edge (0, 1) was new
 }
 
 TEST(EngineTest, SingleRobotDnIsOnlineDfs) {

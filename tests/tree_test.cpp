@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "graph/generators.h"
 #include "graph/tree.h"
 #include "support/check.h"
+#include "support/rng.h"
 
 namespace bfdn {
 namespace {
@@ -66,6 +68,51 @@ TEST(TreeTest, PathFromRoot) {
   const Tree t = small_tree();
   EXPECT_EQ(t.path_from_root(5), (std::vector<NodeId>{0, 1, 4, 5}));
   EXPECT_EQ(t.path_from_root(0), (std::vector<NodeId>{0}));
+}
+
+/// Naive reference for child_toward: climb from b to depth(a) + 1.
+NodeId naive_child_toward(const Tree& t, NodeId a, NodeId b) {
+  NodeId cur = b;
+  while (t.depth(cur) > t.depth(a) + 1) cur = t.parent(cur);
+  return cur;
+}
+
+/// child_toward on every (proper ancestor, descendant) pair of `t`.
+void expect_child_toward_matches_reference(const Tree& t) {
+  for (NodeId b = 0; b < t.num_nodes(); ++b) {
+    for (NodeId a = t.parent(b); a != kInvalidNode; a = t.parent(a)) {
+      ASSERT_EQ(t.child_toward(a, b), naive_child_toward(t, a, b))
+          << t.summary() << " a=" << a << " b=" << b;
+    }
+  }
+}
+
+TEST(TreeTest, ChildTowardMatchesAncestorWalk) {
+  const Tree t = small_tree();
+  EXPECT_EQ(t.child_toward(0, 5), 1);
+  EXPECT_EQ(t.child_toward(1, 5), 4);
+  EXPECT_EQ(t.child_toward(4, 5), 5);
+  EXPECT_EQ(t.child_toward(0, 2), 2);
+  expect_child_toward_matches_reference(t);
+  expect_child_toward_matches_reference(make_caterpillar(60, 3));
+  expect_child_toward_matches_reference(make_spider(8, 12));
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    expect_child_toward_matches_reference(make_random_recursive(150, rng));
+    expect_child_toward_matches_reference(make_random_leafy(150, 4, rng));
+    expect_child_toward_matches_reference(
+        make_tree_with_depth(150, 12, rng));
+  }
+  // Forward parent references: child ids are not in preorder.
+  expect_child_toward_matches_reference(
+      Tree::from_parents({kInvalidNode, 2, 0, 0, 1, 3, 1, 4}));
+}
+
+TEST(TreeTest, ChildTowardRejectsNonAncestors) {
+  const Tree t = small_tree();
+  EXPECT_THROW(t.child_toward(5, 5), CheckError);  // not proper
+  EXPECT_THROW(t.child_toward(2, 5), CheckError);  // other branch
+  EXPECT_THROW(t.child_toward(5, 1), CheckError);  // wrong direction
 }
 
 TEST(TreeTest, SingleNode) {
