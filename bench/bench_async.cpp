@@ -8,6 +8,8 @@
 // is required to agree with lockstep on rounds, total activations and
 // the final state hash — the bench doubles as a coarse differential
 // check, mirroring bench_hotpath's stepped-vs-fast-forward contract.
+// With --smoke every async mode's fast-forward run must also equal its
+// stepped async run (forced by an observer) in every RunResult field.
 // Output is one JSON document on stdout so the numbers land in the
 // bench trajectory (BENCH_async.json).
 #include <chrono>
@@ -60,6 +62,61 @@ std::vector<Mode> make_modes(std::int32_t k) {
   return modes;
 }
 
+/// Observer that records nothing; attaching it forces the stepped
+/// async loop.
+class NoOpObserver : public RoundObserver {
+ public:
+  void on_round(std::int64_t, const ExplorationState&) override {}
+};
+
+/// The first RunResult field in which an async fast-forward run differs
+/// from its stepped async reference; empty if they all agree.
+std::string first_difference(const RunResult& ff, const RunResult& stepped) {
+  if (ff.rounds != stepped.rounds) return "rounds";
+  if (ff.complete != stepped.complete) return "complete";
+  if (ff.all_at_root != stepped.all_at_root) return "all_at_root";
+  if (ff.hit_round_limit != stepped.hit_round_limit) return "hit_round_limit";
+  if (ff.edge_events != stepped.edge_events) return "edge_events";
+  if (ff.rounds_with_idle != stepped.rounds_with_idle) {
+    return "rounds_with_idle";
+  }
+  if (ff.idle_robot_rounds != stepped.idle_robot_rounds) {
+    return "idle_robot_rounds";
+  }
+  if (ff.total_activations != stepped.total_activations) {
+    return "total_activations";
+  }
+  if (ff.robot_moves != stepped.robot_moves) return "robot_moves";
+  if (ff.total_reanchors != stepped.total_reanchors ||
+      ff.reanchors_by_depth.to_string() !=
+          stepped.reanchors_by_depth.to_string()) {
+    return "reanchors_by_depth";
+  }
+  if (ff.total_reanchor_switches != stepped.total_reanchor_switches ||
+      ff.reanchor_switches_by_depth.to_string() !=
+          stepped.reanchor_switches_by_depth.to_string()) {
+    return "reanchor_switches_by_depth";
+  }
+  if (ff.depth_completed_round != stepped.depth_completed_round) {
+    return "depth_completed_round";
+  }
+  if (ff.final_state_hash != stepped.final_state_hash) {
+    return "final_state_hash";
+  }
+  return "";
+}
+
+RunResult run_stepped(const Config& config, AsyncScheduler* scheduler) {
+  BfdnAlgorithm algorithm(config.k);
+  NoOpObserver observer;
+  RunConfig run_config;
+  run_config.num_robots = config.k;
+  run_config.max_rounds = config.cap;
+  run_config.async = scheduler;
+  run_config.observer = &observer;
+  return run_exploration(config.tree, algorithm, run_config);
+}
+
 Timed time_cell(const Config& config, AsyncScheduler* scheduler,
                 std::int64_t repeat) {
   Timed best;
@@ -88,15 +145,17 @@ int run(int argc, const char* const* argv) {
   cli.add_int("repeat", 1, "timed repetitions per cell (best is kept)");
   cli.add_bool("smoke", false,
                "single small cell only (CI: exercises the async event "
-               "loop in Release and checks round-robin against "
-               "lockstep)");
+               "loop in Release, checks round-robin against lockstep "
+               "and every async fast-forward run against its stepped "
+               "async run)");
   if (!cli.parse(argc, argv)) return 0;
+  const bool smoke = cli.get_bool("smoke");
   const std::int64_t cap = cli.get_int("cap");
   const std::int64_t repeat = std::max<std::int64_t>(1,
                                                      cli.get_int("repeat"));
 
   std::vector<Config> configs;
-  if (cli.get_bool("smoke")) {
+  if (smoke) {
     configs.push_back({"comb", make_comb(100, 99), 64, 2000});
   } else {
     // comb: deep + thin, the frontier-maintenance regime. spine *
@@ -104,7 +163,7 @@ int run(int argc, const char* const* argv) {
     configs.push_back({"comb", make_comb(316, 315), 256, cap});
     configs.push_back({"comb", make_comb(316, 315), 64, cap});
     // caterpillar: the deepest family (D ~ n/4); long committed-transit
-    // walks, the regime the batched async sub-mode targets.
+    // walks, the regime the async fast-forward targets.
     configs.push_back({"caterpillar", make_caterpillar(25000, 3), 256,
                        cap});
     configs.push_back({"caterpillar", make_caterpillar(25000, 3), 64,
@@ -143,6 +202,20 @@ int run(int argc, const char* const* argv) {
                      static_cast<long long>(timed.result.rounds),
                      static_cast<long long>(lockstep.result.rounds));
         status = 1;
+      }
+      if (smoke && mode.scheduler != nullptr) {
+        const std::string field =
+            first_difference(timed.result,
+                             run_stepped(config, mode.scheduler.get()));
+        if (!field.empty()) {
+          std::fprintf(stderr,
+                       "bench_async: %s fast-forward DIVERGES from its "
+                       "stepped async run on %s n=%lld k=%d (%s)\n",
+                       mode.name.c_str(), config.family.c_str(),
+                       static_cast<long long>(config.tree.num_nodes()),
+                       config.k, field.c_str());
+          status = 1;
+        }
       }
       const double rps =
           timed.seconds > 0

@@ -1,5 +1,7 @@
 #include "adversarial/async_scheduler.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -32,6 +34,14 @@ std::int64_t FixedRateScheduler::next_activation(std::int64_t now,
   return now + (period_ - ((now - 1) % period_));
 }
 
+std::int64_t FixedRateScheduler::nth_activation(std::int64_t now,
+                                                std::int32_t robot,
+                                                std::int64_t n) const {
+  BFDN_REQUIRE(n >= 1, "nth_activation needs n >= 1");
+  if (!slow(robot)) return now + n;
+  return next_activation(now, robot) + (n - 1) * period_;
+}
+
 LaggardScheduler::LaggardScheduler(std::int32_t num_robots,
                                    std::int64_t period,
                                    std::int32_t num_slow)
@@ -61,6 +71,22 @@ std::int64_t LaggardScheduler::next_activation(std::int64_t now,
   const std::int64_t window = (t - 1) / period_;
   if (window % 2 == 1) t = (window + 1) * period_ + 1;
   return t;
+}
+
+std::int64_t LaggardScheduler::nth_activation(std::int64_t now,
+                                              std::int32_t robot,
+                                              std::int64_t n) const {
+  BFDN_REQUIRE(n >= 1, "nth_activation needs n >= 1");
+  if (!laggard(robot)) return now + n;
+  // Active times in [1, now]: `period` per full active+stalled pair of
+  // windows, plus the active part of the trailing pair.
+  const std::int64_t pair = 2 * period_;
+  const std::int64_t active_so_far =
+      (now / pair) * period_ + std::min(now % pair, period_);
+  // The m-th active time overall (1-based) sits at offset (m-1) mod
+  // period inside active window (m-1) / period.
+  const std::int64_t m = active_so_far + n;
+  return ((m - 1) / period_) * pair + (m - 1) % period_ + 1;
 }
 
 RandomScheduler::RandomScheduler(std::uint64_t seed, std::int64_t max_delay)

@@ -37,6 +37,12 @@ class RoundRobinScheduler : public AsyncScheduler {
                                std::int32_t) const override {
     return now + 1;
   }
+  std::int64_t nth_activation(std::int64_t now, std::int32_t,
+                              std::int64_t n) const override {
+    return now + n;
+  }
+  std::int32_t num_rate_classes(std::int32_t) const override { return 1; }
+  std::int32_t rate_class(std::int32_t) const override { return 0; }
   bool lockstep() const override { return true; }
 };
 
@@ -53,6 +59,13 @@ class FixedRateScheduler : public AsyncScheduler {
   std::int64_t first_activation(std::int32_t robot) const override;
   std::int64_t next_activation(std::int64_t now,
                                std::int32_t robot) const override;
+  std::int64_t nth_activation(std::int64_t now, std::int32_t robot,
+                              std::int64_t n) const override;
+  /// Class 0: the full-speed robots; class 1: the slow ones.
+  std::int32_t num_rate_classes(std::int32_t) const override { return 2; }
+  std::int32_t rate_class(std::int32_t robot) const override {
+    return slow(robot) ? 1 : 0;
+  }
 
  private:
   bool slow(std::int32_t robot) const {
@@ -78,6 +91,13 @@ class LaggardScheduler : public AsyncScheduler {
   std::int64_t first_activation(std::int32_t robot) const override;
   std::int64_t next_activation(std::int64_t now,
                                std::int32_t robot) const override;
+  std::int64_t nth_activation(std::int64_t now, std::int32_t robot,
+                              std::int64_t n) const override;
+  /// Class 0: the full-speed robots; class 1: the laggards.
+  std::int32_t num_rate_classes(std::int32_t) const override { return 2; }
+  std::int32_t rate_class(std::int32_t robot) const override {
+    return laggard(robot) ? 1 : 0;
+  }
 
  private:
   bool laggard(std::int32_t robot) const {

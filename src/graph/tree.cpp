@@ -46,20 +46,18 @@ Tree Tree::from_parents(std::vector<NodeId> parents) {
   // unreachable from the root leaves depth unassigned.
   t.depths_.assign(static_cast<std::size_t>(n), -1);
   t.depths_[0] = 0;
-  std::vector<NodeId> frontier{0};
+  // `order` doubles as the FIFO queue: every node is appended once, by
+  // its parent, and visited when the scan reaches it.
   std::vector<NodeId> order;
   order.reserve(static_cast<std::size_t>(n));
-  while (!frontier.empty()) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      order.push_back(v);
-      for (NodeId c : t.children(v)) {
-        t.depths_[static_cast<std::size_t>(c)] =
-            t.depths_[static_cast<std::size_t>(v)] + 1;
-        next.push_back(c);
-      }
+  order.push_back(0);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
+    for (NodeId c : t.children(v)) {
+      t.depths_[static_cast<std::size_t>(c)] =
+          t.depths_[static_cast<std::size_t>(v)] + 1;
+      order.push_back(c);
     }
-    frontier = std::move(next);
   }
   BFDN_REQUIRE(static_cast<std::int64_t>(order.size()) == n,
                "parent array is not a connected tree");
@@ -99,12 +97,6 @@ Tree Tree::from_parents(std::vector<NodeId> parents) {
         std::max(t.max_degree_, t.degree(static_cast<NodeId>(v)));
   }
   return t;
-}
-
-std::size_t Tree::check_node(NodeId v) const {
-  BFDN_REQUIRE(v >= 0 && static_cast<std::size_t>(v) < parents_.size(),
-               "node id out of range");
-  return static_cast<std::size_t>(v);
 }
 
 std::span<const NodeId> Tree::children(NodeId v) const {

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "support/check.h"
+
 namespace bfdn {
 
 using NodeId = std::int32_t;
@@ -79,7 +81,11 @@ class Tree {
 
  private:
   Tree() = default;
-  std::size_t check_node(NodeId v) const;
+  std::size_t check_node(NodeId v) const {
+    BFDN_REQUIRE(v >= 0 && static_cast<std::size_t>(v) < parents_.size(),
+                 "node id out of range");
+    return static_cast<std::size_t>(v);
+  }
 
   std::vector<NodeId> parents_;
   std::vector<std::int32_t> depths_;

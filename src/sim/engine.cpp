@@ -1,7 +1,12 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "sim/engine_internal.h"
 #include "support/check.h"
@@ -17,14 +22,46 @@ using engine_internal::flush_reanchor_counts;
 using engine_internal::init_depth_accounting;
 using engine_internal::walk_path;
 
+namespace {
+
+/// The end-of-run fields every engine loop derives from its final
+/// state: completion, edge events, all-at-root and the state hash.
+void finalize_result(const Tree& tree, const ExplorationState& state,
+                     RunResult& result) {
+  result.complete = state.num_explored_nodes() == tree.num_nodes();
+  result.edge_events = state.edge_events();
+  result.all_at_root = true;
+  for (std::int32_t i = 0; i < state.num_robots(); ++i) {
+    if (state.robot_pos(i) != tree.root()) {
+      result.all_at_root = false;
+      break;
+    }
+  }
+  result.final_state_hash = state.state_hash();
+}
+
+}  // namespace
+
+std::int64_t AsyncScheduler::nth_activation(std::int64_t now,
+                                            std::int32_t robot,
+                                            std::int64_t n) const {
+  BFDN_REQUIRE(n >= 1, "nth_activation needs n >= 1");
+  for (std::int64_t j = 0; j < n; ++j) now = next_activation(now, robot);
+  return now;
+}
+
 MoveSelector::MoveSelector(ExplorationState& state,
                            const std::vector<char>& movable)
     : state_(state), movable_(movable) {
   pending_.assign(static_cast<std::size_t>(state.num_robots()), Pending{});
+  selected_.reserve(static_cast<std::size_t>(state.num_robots()));
 }
 
 void MoveSelector::reset() {
-  std::fill(pending_.begin(), pending_.end(), Pending{});
+  for (const std::int32_t robot : selected_) {
+    pending_[static_cast<std::size_t>(robot)] = Pending{};
+  }
+  selected_.clear();
   reserved_this_round_.clear();
   for (const std::int32_t depth : reanchor_depths_) {
     reanchor_counts_[static_cast<std::size_t>(depth)] = 0;
@@ -41,9 +78,14 @@ void MoveSelector::require_selectable(std::int32_t robot) const {
                "robot already selected a move this round");
 }
 
+void MoveSelector::select(std::int32_t robot, Pending move) {
+  pending_[static_cast<std::size_t>(robot)] = move;
+  selected_.push_back(robot);
+}
+
 void MoveSelector::stay(std::int32_t robot) {
   require_selectable(robot);
-  pending_[static_cast<std::size_t>(robot)] = {Kind::kStay, kInvalidNode};
+  select(robot, {Kind::kStay, kInvalidNode});
 }
 
 void MoveSelector::move_up(std::int32_t robot) {
@@ -51,10 +93,10 @@ void MoveSelector::move_up(std::int32_t robot) {
   const NodeId pos = state_.robot_pos(robot);
   if (pos == state_.tree().root()) {
     // "If Robot_i is at the root, up is interpreted as ⊥."
-    pending_[static_cast<std::size_t>(robot)] = {Kind::kStay, kInvalidNode};
+    select(robot, {Kind::kStay, kInvalidNode});
     return;
   }
-  pending_[static_cast<std::size_t>(robot)] = {Kind::kUp, pos};
+  select(robot, {Kind::kUp, pos});
 }
 
 void MoveSelector::move_down(std::int32_t robot, NodeId child) {
@@ -63,7 +105,7 @@ void MoveSelector::move_down(std::int32_t robot, NodeId child) {
                "move_down target must be an explored child");
   BFDN_REQUIRE(state_.tree().parent(child) == state_.robot_pos(robot),
                "move_down target is not a child of the robot's position");
-  pending_[static_cast<std::size_t>(robot)] = {Kind::kDownExplored, child};
+  select(robot, {Kind::kDownExplored, child});
 }
 
 NodeId MoveSelector::try_take_dangling(std::int32_t robot) {
@@ -71,7 +113,7 @@ NodeId MoveSelector::try_take_dangling(std::int32_t robot) {
   const NodeId pos = state_.robot_pos(robot);
   if (state_.num_unreserved_dangling(pos) == 0) return kInvalidNode;
   const NodeId child = state_.reserve_dangling(pos);
-  pending_[static_cast<std::size_t>(robot)] = {Kind::kDownDangling, child};
+  select(robot, {Kind::kDownDangling, child});
   reserved_this_round_.emplace_back(child, pos);
   return child;
 }
@@ -95,7 +137,7 @@ void MoveSelector::join_dangling(std::int32_t robot, NodeId token) {
     }
   }
   BFDN_REQUIRE(valid, "join_dangling token not reserved at robot's node");
-  pending_[static_cast<std::size_t>(robot)] = {Kind::kDownDangling, token};
+  select(robot, {Kind::kDownDangling, token});
 }
 
 void MoveSelector::touch_reanchor_depth(std::size_t depth) {
@@ -330,8 +372,7 @@ FastForwardRun::FastForwardRun(const Tree& tree, Algorithm& algorithm,
       movable_(static_cast<std::size_t>(k), 1),
       view_(state_, movable_),
       selector_(state_, movable_),
-      wake_(static_cast<std::size_t>(k), 1),
-      parked_(static_cast<std::size_t>(k), 0) {
+      wake_(static_cast<std::size_t>(k), 1) {
   result_.robot_moves.assign(static_cast<std::size_t>(k), 0);
   init_depth_accounting(tree, result_, unexplored_at_depth_);
   algorithm_.begin(view_);
@@ -341,11 +382,8 @@ FastForwardRun::FastForwardRun(const Tree& tree, Algorithm& algorithm,
 
 std::int64_t FastForwardRun::earliest_wake() const {
   std::int64_t event_round = max_rounds_ + 1;
-  for (std::int32_t i = 0; i < k_; ++i) {
-    if (!parked_[static_cast<std::size_t>(i)]) {
-      event_round =
-          std::min(event_round, wake_[static_cast<std::size_t>(i)]);
-    }
+  for (const std::int64_t wake : wake_) {
+    event_round = std::min(event_round, wake);
   }
   return event_round;
 }
@@ -379,13 +417,16 @@ bool FastForwardRun::advance() {
     return false;
   }
 
-  woken_.clear();
+  // Branch-free compaction of the robots waking now (the buffer keeps
+  // capacity k, so the resizes never allocate).
+  woken_.resize(static_cast<std::size_t>(k_));
+  std::size_t num_woken = 0;
   for (std::int32_t i = 0; i < k_; ++i) {
-    if (!parked_[static_cast<std::size_t>(i)] &&
-        wake_[static_cast<std::size_t>(i)] == event_round) {
-      woken_.push_back(i);
-    }
+    woken_[num_woken] = i;
+    num_woken += static_cast<std::size_t>(
+        wake_[static_cast<std::size_t>(i)] == event_round);
   }
+  woken_.resize(num_woken);
 
   // Selection, restricted to the woken robots; everyone else is
   // mid-walk (their move this round was already executed) or parked.
@@ -445,7 +486,7 @@ bool FastForwardRun::advance() {
     algorithm_.plan_transit(view_, i, plan_);
     switch (plan_.kind) {
       case TransitPlan::Kind::kStayForever:
-        parked_[static_cast<std::size_t>(i)] = 1;
+        wake_[static_cast<std::size_t>(i)] = max_rounds_ + 1;
         ++num_parked_;
         break;
       case TransitPlan::Kind::kEvent:
@@ -487,16 +528,7 @@ RunResult FastForwardRun::finish() {
   // stepped loop.
   result_.total_activations =
       static_cast<std::int64_t>(k_) * result_.rounds;
-  result_.complete = state_.num_explored_nodes() == tree_.num_nodes();
-  result_.edge_events = state_.edge_events();
-  result_.all_at_root = true;
-  for (std::int32_t i = 0; i < k_; ++i) {
-    if (state_.robot_pos(i) != tree_.root()) {
-      result_.all_at_root = false;
-      break;
-    }
-  }
-  result_.final_state_hash = state_.state_hash();
+  finalize_result(tree_, state_, result_);
   return std::move(result_);
 }
 
@@ -514,28 +546,22 @@ RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
   return run.finish();
 }
 
-/// Per-robot-clock event loop (RunConfig::async). Time is a virtual
+/// Per-robot-clock execution (RunConfig::async). Time is a virtual
 /// integer axis; the scheduler decides at which times each robot is
-/// activated, and every loop iteration processes the earliest pending
-/// activation time T as one synchronous mini-round over the robots
-/// activated at T: selection against the pre-MOVE state, then MOVE in
-/// ascending robot index — the same two-phase structure as the stepped
-/// loop, so a lockstep (round-robin) schedule reproduces the
-/// synchronous execution bit-exactly.
-///
-/// Two sub-modes, equivalent for committed-segment algorithms:
-///  * plan-batched (default): after each selection the robot's transit
-///    is planned once (plan_transit), and a kWalk is materialized once
-///    (walk_path) and replayed one step per activation without calling
-///    back into the algorithm;
-///    kStayForever parks the robot — it keeps its activation slots
-///    (stay accounting) but never selects again.
-///  * stepped fallback: every activation runs real selection. Forced by
-///    per-round hooks (trace / observer / check_invariants) or a
-///    step-only transit capability.
+/// activated, and each processed time T is one synchronous mini-round
+/// over the robots activated at T: selection against the pre-MOVE
+/// state, then MOVE in ascending robot index — the same two-phase
+/// structure as the stepped loop, so a lockstep (round-robin) schedule
+/// reproduces the synchronous execution bit-exactly. Two loops,
+/// equivalent for committed-segment algorithms:
+///  * run_async_fast_forward (no per-round hooks, kCommittedSegments):
+///    committed walks are applied once, eagerly, when planned;
+///  * run_async_stepped, the reference: every activation runs real
+///    selection. Forced by per-round hooks (trace / observer /
+///    check_invariants) or a step-only transit capability.
 ///
 /// Termination: no global all-stay round exists under a partial
-/// schedule, so the engine tracks the last time any robot moved and,
+/// schedule, so both loops track the last time any robot moved and,
 /// per robot, the last time it was activated and chose to stay. Once
 /// every robot is parked or has stayed strictly after the last move,
 /// stay-stability (part of the kAsyncSafe contract) guarantees nobody
@@ -548,8 +574,9 @@ RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
 /// batch size, depth completion and hooks use round = T. Uncounted
 /// events contribute nothing, and result.rounds is the makespan — the
 /// last counted time.
-RunResult run_async(const Tree& tree, Algorithm& algorithm,
-                    const RunConfig& config, std::int64_t max_rounds) {
+RunResult run_async_stepped(const Tree& tree, Algorithm& algorithm,
+                            const RunConfig& config,
+                            std::int64_t max_rounds) {
   const std::int32_t k = config.num_robots;
   const AsyncScheduler& schedule = *config.async;
   ExplorationState state(tree, k);
@@ -563,33 +590,17 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
   algorithm.begin(view);
   MoveSelector selector(state, movable);
 
-  const bool batched =
-      algorithm.transit_capability() ==
-          TransitCapability::kCommittedSegments &&
-      config.trace == nullptr && config.observer == nullptr &&
-      !config.check_invariants;
-
   std::vector<std::int64_t> next_time(static_cast<std::size_t>(k));
   for (std::int32_t i = 0; i < k; ++i) {
     const std::int64_t first = schedule.first_activation(i);
     BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
     next_time[static_cast<std::size_t>(i)] = first;
   }
-  std::vector<char> parked(static_cast<std::size_t>(k), 0);
-  // Batched-mode walk replay: walk_of[i] is robot i's committed path,
-  // walk_pos[i] the next step; an exhausted path means the robot's next
-  // activation runs selection.
-  std::vector<std::vector<NodeId>> walk_of(static_cast<std::size_t>(k));
-  std::vector<std::size_t> walk_pos(static_cast<std::size_t>(k), 0);
-
   std::vector<std::int64_t> last_stay_time(static_cast<std::size_t>(k), -1);
   std::int64_t last_move_time = 0;
 
-  std::vector<std::int32_t> slots;      // robots activated at T, ascending
-  std::vector<std::int32_t> selecting;  // the slots that run selection
+  std::vector<std::int32_t> slots;  // robots activated at T, ascending
   slots.reserve(static_cast<std::size_t>(k));
-  selecting.reserve(static_cast<std::size_t>(k));
-  TransitPlan plan;
 
   for (;;) {
     std::int64_t event_time = next_time[0];
@@ -603,7 +614,6 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
     }
 
     slots.clear();
-    selecting.clear();
     for (std::int32_t i = 0; i < k; ++i) {
       if (next_time[static_cast<std::size_t>(i)] != event_time) continue;
       slots.push_back(i);
@@ -612,37 +622,19 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
                  "scheduler next_activation must advance time");
       next_time[static_cast<std::size_t>(i)] = next;
       state.set_robot_clock(i, event_time);
-      if (parked[static_cast<std::size_t>(i)]) continue;  // stay slot
-      if (batched && walk_pos[static_cast<std::size_t>(i)] <
-                         walk_of[static_cast<std::size_t>(i)].size()) {
-        continue;  // mid-walk: the step is committed, no selection
-      }
-      selecting.push_back(i);
     }
 
     selector.reset();
-    if (!selecting.empty()) {
-      algorithm.select_moves_subset(view, selector, selecting);
-    }
+    algorithm.select_moves_subset(view, selector, slots);
     const std::vector<MoveSelector::Pending>& pending =
         EngineAccess::pending(selector);
 
     // MOVE over the whole batch, ascending robot index (the commit
-    // order group traversals rely on): walkers replay their next
-    // committed step, selectors apply their selected move.
+    // order group traversals rely on).
     std::int64_t moves = 0;
     std::int64_t idle_slots = 0;
     for (std::int32_t i : slots) {
       const auto s = static_cast<std::size_t>(i);
-      if (parked[s]) {
-        ++idle_slots;
-        continue;
-      }
-      if (batched && walk_pos[s] < walk_of[s].size()) {
-        apply_walk_step(tree, state, i, walk_of[s][walk_pos[s]++], result);
-        ++moves;
-        continue;
-      }
       if (apply_pending_move(tree, state, i, pending[s],
                              unexplored_at_depth, result, event_time)) {
         ++moves;
@@ -661,9 +653,8 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
       result.total_activations += static_cast<std::int64_t>(slots.size());
       flush_reanchor_counts(selector, result);
 
-      // Per-round hooks only ever run in the stepped sub-mode (their
-      // presence disables batching above); they see counted events as
-      // rounds, exactly the stepped loop's view under round-robin.
+      // The hooks see counted events as rounds, exactly the stepped
+      // loop's view under round-robin.
       if (config.trace != nullptr) {
         TraceFrame frame;
         frame.round = event_time;
@@ -681,36 +672,11 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
       }
     }
 
-    // Re-plan the robots that just ran selection from the post-MOVE
-    // state (mirrors the fast-forward plan step).
-    if (batched) {
-      for (std::int32_t i : selecting) {
-        const auto s = static_cast<std::size_t>(i);
-        plan = TransitPlan{};
-        algorithm.plan_transit(view, i, plan);
-        switch (plan.kind) {
-          case TransitPlan::Kind::kStayForever:
-            parked[s] = 1;
-            break;
-          case TransitPlan::Kind::kEvent:
-            walk_of[s].clear();
-            walk_pos[s] = 0;
-            break;
-          case TransitPlan::Kind::kWalk:
-            walk_path(tree, state.robot_pos(i), plan, walk_of[s]);
-            walk_pos[s] = 0;
-            break;
-        }
-      }
-    }
-
-    // Natural termination: every robot is parked or has stayed
-    // strictly after the last move anywhere in the system.
+    // Natural termination: every robot has stayed strictly after the
+    // last move anywhere in the system.
     bool stable = true;
     for (std::int32_t i = 0; i < k; ++i) {
-      const auto s = static_cast<std::size_t>(i);
-      if (parked[s]) continue;
-      if (last_stay_time[s] <= last_move_time) {
+      if (last_stay_time[static_cast<std::size_t>(i)] <= last_move_time) {
         stable = false;
         break;
       }
@@ -719,16 +685,283 @@ RunResult run_async(const Tree& tree, Algorithm& algorithm,
   }
 
   result.rounds = last_move_time;
-  result.complete = state.num_explored_nodes() == tree.num_nodes();
-  result.edge_events = state.edge_events();
-  result.all_at_root = true;
-  for (std::int32_t i = 0; i < k; ++i) {
-    if (state.robot_pos(i) != tree.root()) {
-      result.all_at_root = false;
-      break;
+  finalize_result(tree, state, result);
+  return result;
+}
+
+/// A (time, robot-or-class) min-heap entry. Ties pop in ascending
+/// index, so the robots selecting at one time leave the heap in the
+/// order Claim 2's reservations need.
+using TimedEntry = std::pair<std::int64_t, std::int32_t>;
+
+void push_timed(std::vector<TimedEntry>& heap, std::int64_t time,
+                std::int32_t index) {
+  heap.emplace_back(time, index);
+  std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+std::int32_t pop_timed(std::vector<TimedEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+  const std::int32_t index = heap.back().second;
+  heap.pop_back();
+  return index;
+}
+
+/// Monotone calendar of rate-class activations. A time less than 64
+/// past the last processed one lands in a ring of per-time buckets
+/// with an occupancy mask, so pushing and finding the next time are
+/// O(1); a later time waits in a min-heap. With one class per robot
+/// most classes activate at every processed time, where a heap alone
+/// costs more than the O(k) scan it replaces.
+class ActivationCalendar {
+ public:
+  /// Schedules `index` at `time`, which must lie after the last
+  /// processed time.
+  void push(std::int64_t time, std::int32_t index) {
+    if (time - now_ < kSlots) {
+      const auto slot = static_cast<std::size_t>(time & (kSlots - 1));
+      ring_[slot].push_back(index);
+      occupied_ |= std::uint64_t{1} << slot;
+    } else {
+      push_timed(overflow_, time, index);
     }
   }
-  result.final_state_hash = state.state_hash();
+
+  /// The earliest scheduled time; requires a scheduled entry.
+  std::int64_t next_time() const {
+    std::int64_t next = overflow_.empty()
+                            ? std::numeric_limits<std::int64_t>::max()
+                            : overflow_.front().first;
+    if (occupied_ != 0) {
+      // Bit j of the rotated mask is the bucket of time now_ + j.
+      const int offset = std::countr_zero(
+          std::rotr(occupied_, static_cast<int>(now_ & (kSlots - 1))));
+      next = std::min(next, now_ + offset);
+    }
+    return next;
+  }
+
+  /// Appends every index scheduled at `time` == next_time() to `out`
+  /// (in no particular order) and makes `time` the processed time.
+  void pop(std::int64_t time, std::vector<std::int32_t>& out) {
+    now_ = time;
+    const auto slot = static_cast<std::size_t>(time & (kSlots - 1));
+    if ((occupied_ >> slot) & 1) {
+      out.insert(out.end(), ring_[slot].begin(), ring_[slot].end());
+      ring_[slot].clear();
+      occupied_ &= ~(std::uint64_t{1} << slot);
+    }
+    while (!overflow_.empty() && overflow_.front().first == time) {
+      out.push_back(pop_timed(overflow_));
+    }
+  }
+
+ private:
+  static constexpr std::int64_t kSlots = 64;
+  std::array<std::vector<std::int32_t>, kSlots> ring_;
+  std::uint64_t occupied_ = 0;
+  std::int64_t now_ = 0;
+  std::vector<TimedEntry> overflow_;
+};
+
+/// Async fast-forward: the stepped async loop with every committed walk
+/// applied once, through apply_walk, when it is planned (the argument
+/// of the synchronous fast-forward carries over: a walk touches no
+/// shared state another robot's decision reads). A walking robot's next
+/// selection is the activation after its last walk step,
+/// nth_activation(T, i, steps); selections sit in a (time, robot)
+/// min-heap. Robots of one rate class share every activation time, so
+/// a processed time needs only the per-class counts of the classes
+/// activated at T — activated = Σ class sizes, moves = Σ class walkers
+/// + selector moves, idle = Σ class parked + stayers — and costs
+/// O(active classes + selecting robots), never O(k).
+RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
+                                 const RunConfig& config,
+                                 std::int64_t max_rounds) {
+  const std::int32_t k = config.num_robots;
+  const AsyncScheduler& schedule = *config.async;
+  ExplorationState state(tree, k);
+  RunResult result;
+  result.robot_moves.assign(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> unexplored_at_depth;
+  init_depth_accounting(tree, result, unexplored_at_depth);
+
+  const std::vector<char> movable(static_cast<std::size_t>(k), 1);
+  ExplorationView view(state, movable);
+  algorithm.begin(view);
+  MoveSelector selector(state, movable);
+
+  struct RateClass {
+    std::int64_t size = 0;
+    std::int64_t walkers = 0;  // members inside a committed walk
+    std::int64_t parked = 0;   // members parked by kStayForever
+    std::int32_t member = -1;  // any member: the class's clock
+    std::int64_t active_at = 0;
+  };
+  const std::int32_t num_classes = schedule.num_rate_classes(k);
+  BFDN_CHECK(num_classes >= 1, "scheduler needs at least one rate class");
+  std::vector<RateClass> classes(static_cast<std::size_t>(num_classes));
+  std::vector<std::int32_t> class_of(static_cast<std::size_t>(k));
+  std::vector<TimedEntry> selections;
+  selections.reserve(static_cast<std::size_t>(k));
+  for (std::int32_t i = 0; i < k; ++i) {
+    const std::int32_t c = schedule.rate_class(i);
+    BFDN_CHECK(c >= 0 && c < num_classes, "rate class out of range");
+    class_of[static_cast<std::size_t>(i)] = c;
+    RateClass& rate_class = classes[static_cast<std::size_t>(c)];
+    ++rate_class.size;
+    if (rate_class.member < 0) rate_class.member = i;
+    const std::int64_t first = schedule.first_activation(i);
+    BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
+    push_timed(selections, first, i);
+  }
+  ActivationCalendar activations;
+  for (std::int32_t c = 0; c < num_classes; ++c) {
+    const RateClass& rate_class = classes[static_cast<std::size_t>(c)];
+    if (rate_class.size > 0) {
+      activations.push(schedule.first_activation(rate_class.member), c);
+    }
+  }
+
+  std::vector<char> walking(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> last_stay_time(static_cast<std::size_t>(k), -1);
+  std::int64_t last_move_time = 0;
+  std::int64_t num_parked = 0;
+  // Unparked robots whose last stay is later than last_move_time; the
+  // run is stable when that is every unparked robot.
+  std::int64_t stayed_since_move = 0;
+
+  std::vector<std::int32_t> active;     // classes activated at T
+  std::vector<std::int32_t> selecting;  // robots selecting at T, ascending
+  active.reserve(static_cast<std::size_t>(num_classes));
+  selecting.reserve(static_cast<std::size_t>(k));
+  TransitPlan plan;
+  std::vector<NodeId> capped_walk;
+
+  for (;;) {
+    const std::int64_t now = activations.next_time();
+    if (algorithm.finished(view)) break;
+    if (now > max_rounds) {
+      result.hit_round_limit = true;
+      break;
+    }
+
+    active.clear();
+    activations.pop(now, active);
+    std::int64_t activated = 0;
+    std::int64_t parked = 0;
+    for (const std::int32_t c : active) {
+      RateClass& rate_class = classes[static_cast<std::size_t>(c)];
+      rate_class.active_at = now;
+      activated += rate_class.size;
+      parked += rate_class.parked;
+    }
+    selecting.clear();
+    while (!selections.empty() && selections.front().first == now) {
+      const std::int32_t i = pop_timed(selections);
+      const auto s = static_cast<std::size_t>(i);
+      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
+      BFDN_CHECK(rate_class.active_at == now,
+                 "a robot's activation is not one of its rate class's");
+      if (walking[s]) {  // its walk ended at the class's last activation
+        walking[s] = 0;
+        --rate_class.walkers;
+      }
+      state.set_robot_clock(i, now);
+      selecting.push_back(i);
+    }
+    std::int64_t walkers = 0;
+    for (const std::int32_t c : active) {
+      RateClass& rate_class = classes[static_cast<std::size_t>(c)];
+      walkers += rate_class.walkers;
+      const std::int64_t next =
+          schedule.next_activation(now, rate_class.member);
+      BFDN_CHECK(next > now, "scheduler next_activation must advance time");
+      activations.push(next, c);
+    }
+    BFDN_CHECK(activated ==
+                   walkers + parked + static_cast<std::int64_t>(
+                                          selecting.size()),
+               "rate class members do not share their activation times");
+
+    if (!selecting.empty()) {
+      selector.reset();
+      algorithm.select_moves_subset(view, selector, selecting);
+    }
+    const std::vector<MoveSelector::Pending>& pending =
+        EngineAccess::pending(selector);
+
+    // MOVE for the selecting robots, ascending robot index; the
+    // walkers' moves at T were applied when their walks were planned.
+    std::int64_t moves = walkers;
+    std::int64_t stayers = 0;
+    for (const std::int32_t i : selecting) {
+      const auto s = static_cast<std::size_t>(i);
+      if (apply_pending_move(tree, state, i, pending[s], unexplored_at_depth,
+                             result, now)) {
+        ++moves;
+      } else {
+        ++stayers;
+        if (last_stay_time[s] <= last_move_time) ++stayed_since_move;
+        last_stay_time[s] = now;
+      }
+    }
+    if (moves > 0) {
+      last_move_time = now;
+      stayed_since_move = 0;
+      const std::int64_t idle = parked + stayers;
+      if (idle > 0) {
+        ++result.rounds_with_idle;
+        result.idle_robot_rounds += idle;
+      }
+      result.total_activations += activated;
+      // Without selectors the selector still holds an earlier time's
+      // counts, already flushed or dropped with that time.
+      if (!selecting.empty()) flush_reanchor_counts(selector, result);
+    }
+
+    // Re-plan the robots that just selected, from the post-MOVE state.
+    for (const std::int32_t i : selecting) {
+      const auto s = static_cast<std::size_t>(i);
+      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
+      plan = TransitPlan{};
+      algorithm.plan_transit(view, i, plan);
+      if (plan.kind == TransitPlan::Kind::kStayForever) {
+        ++rate_class.parked;
+        ++num_parked;
+        if (last_stay_time[s] > last_move_time) --stayed_since_move;
+        continue;
+      }
+      if (plan.kind == TransitPlan::Kind::kEvent || plan.steps == 0) {
+        const std::int64_t next = schedule.next_activation(now, i);
+        BFDN_CHECK(next > now, "scheduler next_activation must advance time");
+        push_timed(selections, next, i);
+        continue;
+      }
+      walking[s] = 1;
+      ++rate_class.walkers;
+      const std::int64_t walk_end = schedule.nth_activation(now, i, plan.steps);
+      BFDN_CHECK(walk_end > now, "scheduler nth_activation must advance time");
+      if (walk_end <= max_rounds) {
+        apply_walk(tree, state, i, plan, result);
+        push_timed(selections, schedule.next_activation(walk_end, i), i);
+        continue;
+      }
+      // A limit-capped walk: only the steps at activations inside the
+      // limit execute, and the robot never selects again.
+      walk_path(tree, state.robot_pos(i), plan, capped_walk);
+      std::size_t step = 0;
+      for (std::int64_t t = schedule.next_activation(now, i); t <= max_rounds;
+           t = schedule.next_activation(t, i)) {
+        apply_walk_step(tree, state, i, capped_walk[step++], result);
+      }
+    }
+
+    if (stayed_since_move == k - num_parked) break;
+  }
+
+  result.rounds = last_move_time;
+  finalize_result(tree, state, result);
   return result;
 }
 
@@ -754,7 +987,14 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
   if (config.async != nullptr &&
       algorithm.activation_granularity() ==
           ActivationGranularity::kAsyncSafe) {
-    return run_async(tree, algorithm, config, max_rounds);
+    const bool fast_forward =
+        algorithm.transit_capability() ==
+            TransitCapability::kCommittedSegments &&
+        config.trace == nullptr && config.observer == nullptr &&
+        !config.check_invariants;
+    return fast_forward
+               ? run_async_fast_forward(tree, algorithm, config, max_rounds)
+               : run_async_stepped(tree, algorithm, config, max_rounds);
   }
 
   // Fast-forward needs committed-segment hints from the algorithm and
@@ -927,16 +1167,7 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
     }
   }
 
-  result.complete = state.num_explored_nodes() == tree.num_nodes();
-  result.edge_events = state.edge_events();
-  result.all_at_root = true;
-  for (std::int32_t i = 0; i < config.num_robots; ++i) {
-    if (state.robot_pos(i) != tree.root()) {
-      result.all_at_root = false;
-      break;
-    }
-  }
-  result.final_state_hash = state.state_hash();
+  finalize_result(tree, state, result);
   return result;
 }
 

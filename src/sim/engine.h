@@ -40,6 +40,11 @@ class BreakdownSchedule {
 /// reproducible from the spec alone, and must satisfy
 /// first_activation(i) >= 1 and next_activation(now, i) > now with all
 /// gaps finite (every robot is activated infinitely often).
+///
+/// Robots are partitioned into rate classes: robots of one class share
+/// every activation time, so the engine counts a class's activations
+/// once per time instead of once per robot. The default is one class
+/// per robot, which is always correct.
 /// Concrete schedulers live in src/adversarial/async_scheduler.h.
 class AsyncScheduler {
  public:
@@ -50,6 +55,17 @@ class AsyncScheduler {
   /// Next activation of `robot` strictly after virtual time `now`.
   virtual std::int64_t next_activation(std::int64_t now,
                                        std::int32_t robot) const = 0;
+  /// The n-th (n >= 1) activation of `robot` strictly after `now`:
+  /// next_activation iterated n times. Schedulers with a closed form
+  /// override it; the engine calls it once per committed walk.
+  virtual std::int64_t nth_activation(std::int64_t now, std::int32_t robot,
+                                      std::int64_t n) const;
+  /// Number of rate classes among `num_robots` robots (some may be
+  /// empty); rate_class(i) lies in [0, num_rate_classes(num_robots)).
+  virtual std::int32_t num_rate_classes(std::int32_t num_robots) const {
+    return num_robots;
+  }
+  virtual std::int32_t rate_class(std::int32_t robot) const { return robot; }
   /// True iff every robot is activated at every virtual time (all
   /// clocks tick together) — the schedule under which the async engine
   /// must reproduce the synchronous engine bit-identically.
@@ -86,8 +102,9 @@ class MoveSelector {
   MoveSelector(ExplorationState& state, const std::vector<char>& movable);
 
   /// Clears all selections, reservations and reanchor counts for the
-  /// next round, keeping buffer capacity. Visits only the depths whose
-  /// reanchor counters were touched since the last reset.
+  /// next round, keeping buffer capacity. Visits only the robots that
+  /// selected and the depths whose reanchor counters were touched since
+  /// the last reset.
   void reset();
 
   /// Robot stays put (the paper's ⊥).
@@ -138,6 +155,9 @@ class MoveSelector {
  private:
   friend struct EngineAccess;
   void require_selectable(std::int32_t robot) const;
+  /// Records `move` as the robot's selection and lists the robot for
+  /// reset().
+  void select(std::int32_t robot, Pending move);
   /// Sizes both reanchor counters for `depth` and lists the depth in
   /// reanchor_depths_ on its first count since the last reset.
   void touch_reanchor_depth(std::size_t depth);
@@ -145,6 +165,8 @@ class MoveSelector {
   ExplorationState& state_;
   const std::vector<char>& movable_;
   std::vector<Pending> pending_;
+  // Robots with a selection since the last reset, in selection order.
+  std::vector<std::int32_t> selected_;
   // token -> node it hangs off, for join validation.
   std::vector<std::pair<NodeId, NodeId>> reserved_this_round_;
   // Reanchor counts indexed by depth (flat: note_reanchor must stay

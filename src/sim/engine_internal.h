@@ -81,10 +81,9 @@ void apply_walk(const Tree& tree, ExplorationState& state,
                 RunResult& result);
 
 /// The nodes a committed walk from `from` visits, in order (excluding
-/// `from`), written into `out`. O(plan.steps); for the consumers that
-/// step a walk one node at a time: the async engine, which replays it
-/// one activation at a time, and the fast-forward engine when the
-/// round limit cuts a walk short.
+/// `from`), written into `out`. O(plan.steps); for the one case that
+/// steps a walk one node at a time: the round limit cutting a walk
+/// short in either fast-forward engine (sync or async).
 void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
                std::vector<NodeId>& out);
 
@@ -139,7 +138,8 @@ class FastForwardRun {
   // (kStayForever, or walks capped by the round limit) get the sentinel
   // max_rounds + 1 and never wake. All robots start awake at round 1.
   std::vector<std::int64_t> wake_;
-  std::vector<char> parked_;
+  // Robots parked by kStayForever (they idle in every remaining round;
+  // a capped walker moves in every remaining round instead).
   std::int64_t num_parked_ = 0;
   std::vector<std::int32_t> woken_;
   std::int64_t next_event_round_ = 1;
@@ -149,7 +149,7 @@ class FastForwardRun {
   bool done_ = false;
   bool finished_ = false;
 
-  /// The earliest wake among non-parked robots (max_rounds + 1 if none).
+  /// The earliest wake over all robots (max_rounds + 1 if none wakes).
   std::int64_t earliest_wake() const;
 };
 

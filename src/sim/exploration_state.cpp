@@ -68,16 +68,6 @@ ExplorationState::ExplorationState(const Tree& tree, std::int32_t num_robots)
   }
 }
 
-NodeId ExplorationState::robot_pos(std::int32_t robot) const {
-  BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
-  return robot_pos_[static_cast<std::size_t>(robot)];
-}
-
-void ExplorationState::set_robot_pos(std::int32_t robot, NodeId v) {
-  BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
-  robot_pos_[static_cast<std::size_t>(robot)] = v;
-}
-
 std::int64_t ExplorationState::robot_clock(std::int32_t robot) const {
   BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
   return std::max(clock_base_,
@@ -90,11 +80,6 @@ void ExplorationState::set_robot_clock(std::int32_t robot, std::int64_t t) {
 }
 
 void ExplorationState::set_clock_base(std::int64_t t) { clock_base_ = t; }
-
-bool ExplorationState::is_explored(NodeId v) const {
-  BFDN_REQUIRE(v >= 0 && v < tree_.num_nodes(), "node id");
-  return explored_[static_cast<std::size_t>(v)] != 0;
-}
 
 std::int32_t ExplorationState::num_unexplored_child_edges(NodeId u) const {
   BFDN_REQUIRE(is_explored(u), "query on unexplored node");

@@ -49,8 +49,14 @@ class ExplorationState {
   std::int32_t num_robots() const { return num_robots_; }
 
   // --- robot positions -----------------------------------------------
-  NodeId robot_pos(std::int32_t robot) const;
-  void set_robot_pos(std::int32_t robot, NodeId v);
+  NodeId robot_pos(std::int32_t robot) const {
+    BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
+    return robot_pos_[static_cast<std::size_t>(robot)];
+  }
+  void set_robot_pos(std::int32_t robot, NodeId v) {
+    BFDN_REQUIRE(robot >= 0 && robot < num_robots_, "robot index");
+    robot_pos_[static_cast<std::size_t>(robot)] = v;
+  }
 
   // --- per-robot virtual clocks ----------------------------------------
   /// Number of activations this robot has received so far. Under the
@@ -58,9 +64,11 @@ class ExplorationState {
   /// AsyncScheduler makes them diverge. Clocks are *derived* scheduling
   /// metadata, not observable exploration state, so they do NOT enter
   /// state_hash(): two executions reaching the same configuration at
-  /// different robot speeds hash equal.
+  /// different robot speeds hash equal. The async fast-forward sets a
+  /// robot's clock only when it selects, so there the clock is exact
+  /// only while the robot selects.
   std::int64_t robot_clock(std::int32_t robot) const;
-  /// Sets one robot's clock (async engine, per activation slot).
+  /// Sets one robot's clock (async engines).
   void set_robot_clock(std::int32_t robot, std::int64_t t);
   /// Sets every robot's clock at once, O(1) (sync/fast-forward engines:
   /// all clocks tick together). A later set_robot_clock overrides the
@@ -68,7 +76,10 @@ class ExplorationState {
   void set_clock_base(std::int64_t t);
 
   // --- explored / dangling bookkeeping --------------------------------
-  bool is_explored(NodeId v) const;
+  bool is_explored(NodeId v) const {
+    BFDN_REQUIRE(v >= 0 && v < tree_.num_nodes(), "node id");
+    return explored_[static_cast<std::size_t>(v)] != 0;
+  }
   /// Number of incident child edges of u not yet traversed (dangling,
   /// whether or not currently reserved for this round).
   std::int32_t num_unexplored_child_edges(NodeId u) const;

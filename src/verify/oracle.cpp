@@ -322,19 +322,28 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   // --- fast-forward vs stepped engine (differential) ------------------
   // The primary run above is stepped (its observer forces the stepped
   // loop); re-running with fast-forward enabled and no hooks must
-  // reproduce every field of its RunResult. Skipped under break-down
-  // schedules, where fast-forward disables itself and the comparison
-  // would be vacuous.
+  // reproduce every field of its RunResult. The pair is compared again
+  // under a round limit of R/2 + 1 (R = the primary run's rounds), which
+  // cuts committed walks short. Skipped under break-down schedules,
+  // where fast-forward disables itself and the comparison would be
+  // vacuous.
   if (!breakdown) {
-    BfdnAlgorithm algorithm(k, config.bfdn);
-    RunConfig run_config;
-    run_config.num_robots = k;
-    run_config.max_rounds = config.max_rounds;
-    run_config.fast_forward = true;
+    const auto run_sync = [&](std::int64_t max_rounds, bool stepped) {
+      NullObserver null_observer;
+      BfdnAlgorithm algorithm(k, config.bfdn);
+      RunConfig run_config;
+      run_config.num_robots = k;
+      run_config.max_rounds = max_rounds;
+      run_config.observer = stepped ? &null_observer : nullptr;
+      return run_exploration(tree, algorithm, run_config);
+    };
     try {
-      const RunResult ff = run_exploration(tree, algorithm, run_config);
-      compare_run_results(ff, primary.result, "fast-forward",
-                          OracleCheck::kFastForward, report);
+      compare_run_results(run_sync(config.max_rounds, false), primary.result,
+                          "fast-forward", OracleCheck::kFastForward, report);
+      const std::int64_t cap = primary.result.rounds / 2 + 1;
+      compare_run_results(run_sync(cap, false), run_sync(cap, true),
+                          "capped fast-forward", OracleCheck::kFastForward,
+                          report);
     } catch (const CheckError& error) {
       fail(OracleCheck::kEngineInvariant, error.what());
     }
@@ -343,12 +352,13 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   // --- per-robot clocks: async == sync (differential) -----------------
   // The round-robin scheduler is the degenerate point of the async
   // model, and the engine promises it reproduces the synchronous run
-  // bit-identically in both sub-modes: the stepped one (observer forces
-  // it; compared hash-by-hash against the primary run) and the
-  // plan-batched one (no hooks). An exotic AsyncSpec additionally pits
-  // the two sub-modes against each other and requires the run to still
-  // finish the job. Skipped under break-downs, which are mutually
-  // exclusive with async scheduling.
+  // bit-identically in both async loops: the stepped one (observer
+  // forces it; compared hash-by-hash against the primary run) and the
+  // async fast-forward (no hooks). An exotic AsyncSpec additionally pits
+  // the two loops against each other, uncapped and under a round limit
+  // of R/2 + 1 (R = the stepped run's makespan), and requires the
+  // uncapped run to still finish the job. Skipped under break-downs,
+  // which are mutually exclusive with async scheduling.
   if (!breakdown) {
     RoundRobinScheduler round_robin;
     {
@@ -387,7 +397,8 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
       run_config.async = &round_robin;
       try {
         const RunResult rr = run_exploration(tree, algorithm, run_config);
-        compare_run_results(rr, primary.result, "batched round-robin async",
+        compare_run_results(rr, primary.result,
+                            "fast-forward round-robin async",
                             OracleCheck::kAsyncEquivalence, report);
       } catch (const CheckError& error) {
         fail(OracleCheck::kEngineInvariant, error.what());
@@ -404,26 +415,24 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
           (config.max_rounds > 0 ? config.max_rounds
                                  : default_round_limit(tree)) *
           config.async.slowdown();
-      try {
+      const auto run_async = [&](std::int64_t max_rounds, bool stepped) {
         NullObserver null_observer;
-        BfdnAlgorithm stepped_algorithm(k, config.bfdn);
-        RunConfig stepped_config;
-        stepped_config.num_robots = k;
-        stepped_config.max_rounds = limit;
-        stepped_config.async = scheduler.get();
-        stepped_config.observer = &null_observer;
-        const RunResult stepped =
-            run_exploration(tree, stepped_algorithm, stepped_config);
-
-        BfdnAlgorithm batched_algorithm(k, config.bfdn);
-        RunConfig batched_config;
-        batched_config.num_robots = k;
-        batched_config.max_rounds = limit;
-        batched_config.async = scheduler.get();
-        const RunResult batched =
-            run_exploration(tree, batched_algorithm, batched_config);
-
-        compare_run_results(batched, stepped, "batched async",
+        BfdnAlgorithm algorithm(k, config.bfdn);
+        RunConfig run_config;
+        run_config.num_robots = k;
+        run_config.max_rounds = max_rounds;
+        run_config.async = scheduler.get();
+        run_config.observer = stepped ? &null_observer : nullptr;
+        return run_exploration(tree, algorithm, run_config);
+      };
+      try {
+        const RunResult stepped = run_async(limit, true);
+        compare_run_results(run_async(limit, false), stepped,
+                            "async fast-forward",
+                            OracleCheck::kAsyncEquivalence, report);
+        const std::int64_t cap = stepped.rounds / 2 + 1;
+        compare_run_results(run_async(cap, false), run_async(cap, true),
+                            "capped async fast-forward",
                             OracleCheck::kAsyncEquivalence, report);
         if (!stepped.complete || !stepped.all_at_root) {
           fail(OracleCheck::kAsyncEquivalence,

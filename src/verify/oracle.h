@@ -18,8 +18,9 @@
 //  * The fast-forward engine reproduces the stepped engine exactly:
 //    rounds, final-state digest, edge events, idle accounting, per-robot
 //    move counts, the reanchor and Lemma-2 switch histograms and the
-//    depth-completion timeline (skipped under break-down schedules,
-//    where fast-forward disables itself).
+//    depth-completion timeline, uncapped and under a round limit of
+//    R/2 + 1 that cuts committed walks short (skipped under break-down
+//    schedules, where fast-forward disables itself).
 //  * Write-read BFDN (Section 4.1) completes within the same Theorem 1
 //    bound (Proposition 6) and within its memory allowance.
 //  * BFDN_l completes within the Theorem 10 bound.
@@ -30,12 +31,13 @@
 //  * The per-robot-clock engine under the round-robin scheduler
 //    reproduces the synchronous execution bit-identically — the same
 //    per-round state hashes, final digest, Lemma 2 histograms and every
-//    other RunResult field — in both its stepped and plan-batched
-//    sub-modes; and for an exotic AsyncSpec (heterogeneous rates,
-//    laggards, random gaps) the two sub-modes agree with each other and
-//    the run still completes with 2(n-1) edge events and all robots
-//    home (skipped under break-down schedules, which are mutually
-//    exclusive with async scheduling).
+//    other RunResult field — in both its stepped loop and its async
+//    fast-forward; and for an exotic AsyncSpec (heterogeneous rates,
+//    laggards, random gaps) the two loops agree with each other, also
+//    under a round limit of R/2 + 1 that cuts walks short, and the run
+//    still completes with 2(n-1) edge events and all robots home
+//    (skipped under break-down schedules, which are mutually exclusive
+//    with async scheduling).
 //  * Under a break-down schedule (Section 4.2): if the run ended
 //    incomplete, the adversary must not have granted an average allowed
 //    distance of 2n/k + D^2(log k + 3) (Proposition 7 contrapositive).

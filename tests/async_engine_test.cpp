@@ -1,18 +1,23 @@
 // Per-robot-clock (async) engine path.
 //
-// The event loop in run_async generalizes the synchronous engine: a
-// pluggable AsyncScheduler decides when each robot activates, robots
-// mid-transit replay their committed walk one step per activation, and
-// an event time is counted as a round iff at least one robot moves at
-// it. These tests pin the contract from docs/MODEL.md:
+// The async loops generalize the synchronous engine: a pluggable
+// AsyncScheduler decides when each robot activates, a robot mid-transit
+// takes the next step of its committed walk at each activation (the
+// async fast-forward applies the whole walk when it is planned), and an
+// event time is counted as a round iff at least one robot moves at it.
+// These tests pin the contract from docs/MODEL.md:
 //
 //  * round-robin activation reproduces the synchronous engine
 //    bit-exactly (result fields AND the per-round hash sequence);
 //  * heterogeneous-speed schedules are deterministic and still satisfy
 //    the completion invariants (complete, all home, every edge twice);
 //  * laggard starvation stretches the makespan but never livelocks;
-//  * attaching an observer forces the stepped sub-mode, whose results
-//    are identical to the batched one (mid-transit activations);
+//  * attaching an observer forces the stepped async loop, whose results
+//    are identical to the async fast-forward's (mid-transit
+//    activations);
+//  * every scheduler's rate classes share their activation times, its
+//    nth_activation is next_activation iterated, and the engine rejects
+//    a scheduler whose declared classes do not share them;
 //  * lockstep-only algorithms under an async config are auto-driven by
 //    the synchronous round-robin schedule.
 #include <memory>
@@ -176,11 +181,11 @@ TEST(AsyncEngine, LaggardStarvationStretchesButCompletes) {
 }
 
 TEST(AsyncEngine, ObserverForcesSteppedFallbackWithIdenticalResults) {
-  // Without hooks the event loop batch-replays committed walks between
-  // activations; an observer needs per-event state and forces the
-  // stepped sub-mode. Both must agree exactly — this is the mid-transit
-  // activation contract (a robot activated inside a committed walk
-  // executes exactly the next step of that walk).
+  // Without hooks the async fast-forward applies each committed walk
+  // when it is planned; an observer needs per-event state and forces
+  // the stepped async loop. Both must agree exactly — this is the
+  // mid-transit activation contract (a robot activated inside a
+  // committed walk executes exactly the next step of that walk).
   for (const AsyncCase& c : grid()) {
     SCOPED_TRACE(c.name);
     const auto schedules = [&]() {
@@ -212,6 +217,81 @@ TEST(AsyncEngine, ObserverForcesSteppedFallbackWithIdenticalResults) {
           << c.name << "/" << label;
     }
   }
+}
+
+TEST(AsyncEngine, RateClassesShareActivationsAndNthIsIteratedNext) {
+  // The async fast-forward counts a rate class's activations once per
+  // time, so every member must be activated at exactly the same times;
+  // nth_activation (closed forms for round-robin, fixed-rate, laggard)
+  // must equal next_activation iterated, from activation times and
+  // from the times between them.
+  constexpr std::int64_t kHorizon = 300;
+  for (const std::int32_t k : {1, 3, 64}) {
+    for (const std::int32_t num_slow : {0, 1, k}) {
+      std::vector<std::unique_ptr<AsyncScheduler>> schedulers;
+      schedulers.push_back(std::make_unique<RoundRobinScheduler>());
+      schedulers.push_back(
+          std::make_unique<FixedRateScheduler>(k, 3, num_slow));
+      schedulers.push_back(
+          std::make_unique<LaggardScheduler>(k, 5, num_slow));
+      schedulers.push_back(std::make_unique<RandomScheduler>(
+          static_cast<std::uint64_t>(7 + num_slow), 4));
+      for (const auto& schedule : schedulers) {
+        SCOPED_TRACE(testing::Message() << schedule->name() << " k=" << k);
+        const std::int32_t num_classes = schedule->num_rate_classes(k);
+        ASSERT_GE(num_classes, 1);
+        std::vector<std::vector<std::int64_t>> class_times(
+            static_cast<std::size_t>(num_classes));
+        std::vector<char> seen(static_cast<std::size_t>(num_classes), 0);
+        for (std::int32_t i = 0; i < k; ++i) {
+          const std::int32_t c = schedule->rate_class(i);
+          ASSERT_GE(c, 0);
+          ASSERT_LT(c, num_classes);
+          std::vector<std::int64_t> times;
+          for (std::int64_t t = schedule->first_activation(i); t <= kHorizon;
+               t = schedule->next_activation(t, i)) {
+            times.push_back(t);
+          }
+          const auto slot = static_cast<std::size_t>(c);
+          if (!seen[slot]) {
+            seen[slot] = 1;
+            class_times[slot] = times;
+          } else {
+            EXPECT_EQ(times, class_times[slot]) << "robot " << i;
+          }
+          std::int64_t mismatches = 0;
+          for (std::int64_t now = 0; now <= 60; ++now) {
+            for (const std::int64_t n : {1, 2, 3, 7, 40}) {
+              std::int64_t expected = now;
+              for (std::int64_t j = 0; j < n; ++j) {
+                expected = schedule->next_activation(expected, i);
+              }
+              if (schedule->nth_activation(now, i, n) != expected) {
+                ++mismatches;
+              }
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << "robot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(AsyncEngine, MisdeclaredRateClassesAreRejected) {
+  // A fixed-rate schedule whose slow robot is declared to share the
+  // fast robots' class: the per-time count of activated robots no
+  // longer matches walkers + parked + selecting, and the engine fails
+  // its check instead of returning wrong accounting.
+  class OneClassFixedRate : public FixedRateScheduler {
+   public:
+    using FixedRateScheduler::FixedRateScheduler;
+    std::int32_t num_rate_classes(std::int32_t) const override { return 1; }
+    std::int32_t rate_class(std::int32_t) const override { return 0; }
+  };
+  const Tree tree = make_comb(10, 5);
+  OneClassFixedRate schedule(4, 2, 1);
+  EXPECT_THROW(run_with(tree, 4, &schedule), CheckError);
 }
 
 TEST(AsyncEngine, LockstepAlgorithmIsAutoDrivenSynchronously) {

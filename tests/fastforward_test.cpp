@@ -173,6 +173,7 @@ void expect_equal_runs(const RunResult& ff, const RunResult& stepped) {
   EXPECT_EQ(ff.edge_events, stepped.edge_events);
   EXPECT_EQ(ff.rounds_with_idle, stepped.rounds_with_idle);
   EXPECT_EQ(ff.idle_robot_rounds, stepped.idle_robot_rounds);
+  EXPECT_EQ(ff.total_activations, stepped.total_activations);
   EXPECT_EQ(ff.robot_moves, stepped.robot_moves);
   EXPECT_EQ(ff.total_reanchors, stepped.total_reanchors);
   EXPECT_EQ(ff.total_reanchor_switches, stepped.total_reanchor_switches);
@@ -274,8 +275,9 @@ TEST(FastForward, DeepCellsAgreeIncludingMidWalkCaps) {
 
 TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
   // The served async recipe (fixed rate, period 2, two slow robots):
-  // the plan-batched async loop materializes each committed walk once;
-  // an observer forces the stepped sub-mode, which must agree exactly.
+  // the async fast-forward applies each committed walk once, when it is
+  // planned; an observer forces the stepped async loop, which must
+  // agree exactly.
   class LastRound : public RoundObserver {
    public:
     void on_round(std::int64_t round, const ExplorationState&) override {
@@ -299,8 +301,65 @@ TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
     const RunResult stepped = run_async(&observer);
     EXPECT_TRUE(batched.complete);
     expect_equal_runs(batched, stepped);
-    EXPECT_EQ(batched.total_activations, stepped.total_activations);
     EXPECT_EQ(observer.last, stepped.rounds);  // the makespan
+  }
+}
+
+TEST(FastForward, AsyncCapsMatchSteppedFallback) {
+  // A round limit cuts the async fast-forward's eagerly applied walks
+  // short: only the steps at activations inside the limit execute. An
+  // observer forces the stepped async loop as the reference. The caps
+  // land on the first activation, inside walks, one short of, at and
+  // past the uncapped stepped makespan R, under every non-lockstep
+  // scheduler kind (two rate classes, and one class per robot).
+  class NoOp : public RoundObserver {
+   public:
+    void on_round(std::int64_t, const ExplorationState&) override {}
+  };
+  struct AsyncCell {
+    std::string name;
+    Tree tree;
+    std::int32_t k;
+  };
+  Rng rng(23);
+  std::vector<AsyncCell> cells;
+  cells.push_back({"caterpillar120x3/k5", make_caterpillar(120, 3), 5});
+  cells.push_back({"spider6x60/k16", make_spider(6, 60), 16});
+  cells.push_back(
+      {"fixed-depth600d20/k16", make_tree_with_depth(600, 20, rng), 16});
+  for (const AsyncCell& cell : cells) {
+    for (const char* label_text : {"fixed-rate", "laggard", "random"}) {
+      const std::string label = label_text;
+      SCOPED_TRACE(cell.name + "/" + label);
+      const auto run = [&](std::int64_t cap, bool stepped) {
+        std::unique_ptr<AsyncScheduler> schedule;
+        if (label == "fixed-rate") {
+          schedule = std::make_unique<FixedRateScheduler>(cell.k, 3, 2);
+        } else if (label == "laggard") {
+          schedule = std::make_unique<LaggardScheduler>(cell.k, 4, 2);
+        } else {
+          schedule = std::make_unique<RandomScheduler>(9, 3);
+        }
+        BfdnAlgorithm algorithm(cell.k);
+        NoOp observer;
+        RunConfig config;
+        config.num_robots = cell.k;
+        config.max_rounds = cap;
+        config.async = schedule.get();
+        config.observer = stepped ? &observer : nullptr;
+        return run_exploration(cell.tree, algorithm, config);
+      };
+      const RunResult full = run(0, true);
+      EXPECT_TRUE(full.complete);
+      expect_equal_runs(run(0, false), full);
+      const std::int64_t r = full.rounds;
+      for (const std::int64_t cap :
+           {std::int64_t{1}, std::int64_t{7}, r / 3, r / 2 + 1, r - 1, r,
+            r + 5}) {
+        SCOPED_TRACE(testing::Message() << "cap=" << cap);
+        expect_equal_runs(run(cap, false), run(cap, true));
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adversarial/async_scheduler.h"
 #include "core/bfdn.h"
 #include "graph/generators.h"
 #include "sim/engine.h"
@@ -93,6 +94,45 @@ TEST(HotpathAlloc, DeeperRunSameAllocationOrder) {
   const std::int64_t a1 = allocations_for_run(shallow, 8);
   const std::int64_t a2 = allocations_for_run(deep, 8);
   EXPECT_LT(a2 - a1, 8 * (deep.depth() - shallow.depth()) + 256);
+}
+
+std::int64_t allocations_for_async_run(const Tree& tree, std::int32_t k,
+                                       AsyncScheduler& schedule) {
+  BfdnAlgorithm algorithm(k);
+  RunConfig config;
+  config.num_robots = k;
+  config.async = &schedule;
+  CountingScope scope;
+  const RunResult result = run_exploration(tree, algorithm, config);
+  EXPECT_TRUE(result.complete);
+  return scope.count();
+}
+
+TEST(HotpathAlloc, AsyncRunAllocationsAreRoundsIndependent) {
+  // The async fast-forward's calendars, heaps and per-class counters
+  // are sized by k and the number of rate classes, never by the round
+  // count: 3x deeper teeth must move the allocation count by O(D).
+  // Fixed-rate has two rate classes, random one per robot.
+  const Tree shallow = make_comb(24, 100);
+  const Tree deep = make_comb(24, 300);
+  FixedRateScheduler fixed_rate(8, 2, 2);
+  RandomScheduler random(5, 3);
+  for (AsyncScheduler* schedule :
+       {static_cast<AsyncScheduler*>(&fixed_rate),
+        static_cast<AsyncScheduler*>(&random)}) {
+    SCOPED_TRACE(schedule->name());
+    const std::int64_t a1 = allocations_for_async_run(shallow, 8, *schedule);
+    const std::int64_t a2 = allocations_for_async_run(deep, 8, *schedule);
+    EXPECT_LT(a2 - a1, 8 * (deep.depth() - shallow.depth()) + 256);
+
+    BfdnAlgorithm probe(8);
+    RunConfig config;
+    config.num_robots = 8;
+    config.async = schedule;
+    const RunResult result = run_exploration(deep, probe, config);
+    ASSERT_GT(result.rounds, 2000);  // the scenario is genuinely long
+    EXPECT_LT(a2, result.rounds);
+  }
 }
 
 }  // namespace
