@@ -16,7 +16,9 @@
 #   asan      ASan/UBSan rebuild + full ctest
 #   tsan      ThreadSanitizer build of the concurrent service tier;
 #             scheduler_stress_test, service_test, store_test,
-#             cluster_test and support_test must report zero races
+#             cluster_test, line_server_test (the connection core
+#             both daemons share) and support_test must report zero
+#             races
 #   fuzz      differential-oracle fuzzer, short fixed-seed burst
 #   bench     fast-forward vs stepped smoke
 #   benchmark served-system benchmark self-test: BENCHMARK.json must
@@ -93,6 +95,7 @@ tsan_stage() {
   ./build-tsan/tests/service_test
   ./build-tsan/tests/store_test
   ./build-tsan/tests/cluster_test
+  ./build-tsan/tests/line_server_test
   ./build-tsan/tests/support_test
 }
 

@@ -21,29 +21,18 @@ std::vector<std::string> ring_labels(
   return labels;
 }
 
-/// Reads the envelope status without parsing the whole response (the
-/// result object may be large; the envelope prefix is tiny).
-std::string extract_status(const std::string& line) {
-  static constexpr char kNeedle[] = "\"status\":\"";
-  const std::size_t pos = line.find(kNeedle);
-  if (pos == std::string::npos) return "";
-  const std::size_t start = pos + sizeof(kNeedle) - 1;
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
-/// Splices the result object out of an ok response. "result" is always
-/// the envelope's final member (protocol.cpp: ok_response), so the raw
-/// bytes run from after the colon to the envelope's closing brace —
-/// no re-serialization, hence no chance of byte drift.
-bool extract_result_raw(const std::string& line, std::string* out) {
-  static constexpr char kNeedle[] = "\"result\":";
-  const std::size_t pos = line.find(kNeedle);
+/// Splices the value of an ok response's final member ("result" from
+/// ok_response, "stats" from stats_response; protocol.cpp puts each
+/// last), so the raw bytes run from after the colon to the envelope's
+/// closing brace — no re-serialization, hence no chance of byte drift.
+bool extract_last_member(const std::string& line, const std::string& name,
+                         std::string* out) {
+  const std::string needle = "\"" + name + "\":";
+  const std::size_t pos = line.find(needle);
   if (pos == std::string::npos || line.empty() || line.back() != '}') {
     return false;
   }
-  const std::size_t start = pos + sizeof(kNeedle) - 1;
+  const std::size_t start = pos + needle.size();
   *out = line.substr(start, line.size() - start - 1);
   return true;
 }
@@ -63,7 +52,9 @@ RouterServer::RouterServer(RouterOptions options)
     : options_(options),
       ring_(ring_labels(options.peers), options.vnodes),
       pool_(options.peers, options.forward_timeout_ms),
-      fanout_(options.fanout_threads) {
+      fanout_(options.fanout_threads),
+      core_([this](const ServiceRequest& request, const std::string& line,
+                   Socket&) { return handle(request, line); }) {
   BFDN_REQUIRE(!options_.peers.empty(), "router needs at least one peer");
   BFDN_REQUIRE(options_.replicas >= 1, "replicas must be >= 1");
   BFDN_REQUIRE(options_.hot_threshold >= 1, "hot_threshold must be >= 1");
@@ -72,50 +63,7 @@ RouterServer::RouterServer(RouterOptions options)
 
 RouterServer::~RouterServer() { drain(); }
 
-void RouterServer::start() {
-  BFDN_REQUIRE(!accept_thread_.joinable(), "router already started");
-  listener_.listen(options_.port);
-  started_at_ = std::chrono::steady_clock::now();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void RouterServer::accept_loop() {
-  while (!draining_) {
-    auto socket = listener_.accept(/*timeout_ms=*/50);
-    if (!socket.has_value()) continue;
-    MutexLock lock(connections_mutex_);
-    reap_finished_locked();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(*socket);
-    Connection* raw = connection.get();
-    connection->thread =
-        std::thread([this, raw] { serve_connection(raw); });
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void RouterServer::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished) {
-      (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void RouterServer::serve_connection(Connection* connection) {
-  for (;;) {
-    const auto line = connection->socket.recv_line();
-    if (!line.has_value()) break;
-    if (line->empty()) continue;
-    ++requests_total_;
-    const std::string response = handle_line(*line);
-    if (!connection->socket.send_all(response + "\n")) break;
-  }
-  connection->finished = true;
-}
+void RouterServer::start() { core_.start(options_.port); }
 
 bool RouterServer::record_hit(std::uint64_t key) {
   MutexLock lock(hot_mutex_);
@@ -142,28 +90,31 @@ std::vector<std::int32_t> RouterServer::route(std::uint64_t key,
   return {ring_.owner(key)};
 }
 
-void RouterServer::count_status(const std::string& response) {
-  const std::string status = extract_status(response);
-  if (status == "ok") {
-    ++responses_ok_;
-  } else if (status == "retry") {
-    ++responses_retry_;
-  } else {
-    ++responses_error_;
+std::optional<std::string> RouterServer::forward_to_owners(
+    std::uint64_t key, const std::string& line) {
+  const bool hot = record_hit(key);
+  const std::vector<std::int32_t> owners = route(key, hot);
+  std::size_t start = 0;
+  if (owners.size() > 1) {
+    ++replica_routed_;
+    start = static_cast<std::size_t>(replica_rr_++ % owners.size());
   }
+  for (std::size_t attempt = 0; attempt < owners.size(); ++attempt) {
+    auto response =
+        pool_.forward(owners[(start + attempt) % owners.size()], line);
+    if (response.has_value()) {
+      if (attempt > 0) ++reroutes_;
+      return response;
+    }
+    ++peer_unreachable_;
+  }
+  return std::nullopt;
 }
 
-std::string RouterServer::handle_line(const std::string& line) {
-  ServiceRequest request;
-  std::string error;
-  if (!parse_request(line, request, &error)) {
-    ++protocol_errors_;
-    ++responses_error_;
-    return error_response("", error);
-  }
+std::string RouterServer::handle(const ServiceRequest& request,
+                                 const std::string& line) {
   switch (request.type) {
     case RequestType::kStats:
-      ++responses_ok_;
       return stats_response(request.id, stats_json());
     case RequestType::kPeerStats:
       return handle_peer_stats(request);
@@ -174,47 +125,25 @@ std::string RouterServer::handle_line(const std::string& line) {
     case RequestType::kShipSegment:
       return handle_ship(request);
     case RequestType::kSegmentFill:
-      ++responses_error_;
       return error_response(request.id,
                             "segment_fill goes directly to a shard");
     case RequestType::kCompact:
-      ++responses_error_;
       return error_response(request.id,
                             "compact is a per-shard admin request");
     case RequestType::kRun:
       return handle_run(request, line);
   }
-  ++responses_error_;
   return error_response(request.id, "unhandled request type");
 }
 
 std::string RouterServer::handle_run(const ServiceRequest& request,
                                      const std::string& line) {
-  const std::uint64_t key = request_fingerprint(request);
-  const bool hot = record_hit(key);
   ++runs_forwarded_;
-
-  const std::vector<std::int32_t> owners = route(key, hot);
-  std::size_t start = 0;
-  if (owners.size() > 1) {
-    ++replica_routed_;
-    start = static_cast<std::size_t>(replica_rr_++ % owners.size());
-  }
   // The original request line is forwarded verbatim and the shard's
   // response bytes are spliced back verbatim: the router never
   // re-serializes what it routes, so routed == solo byte for byte.
-  for (std::size_t attempt = 0; attempt < owners.size(); ++attempt) {
-    const std::int32_t peer =
-        owners[(start + attempt) % owners.size()];
-    auto response = pool_.forward(peer, line);
-    if (response.has_value()) {
-      if (attempt > 0) ++reroutes_;
-      count_status(*response);
-      return *response;
-    }
-    ++peer_unreachable_;
-  }
-  ++responses_retry_;
+  auto response = forward_to_owners(request_fingerprint(request), line);
+  if (response.has_value()) return *std::move(response);
   return retry_response(request.id, options_.retry_after_ms,
                         /*queue_depth=*/0);
 }
@@ -240,23 +169,7 @@ std::string RouterServer::handle_campaign(const ServiceRequest& request) {
   for (std::size_t i = 0; i < members.size(); ++i) {
     fanout_.submit([this, i, &keys, &lines, &replies, &done_mutex,
                     &done_cv, &remaining] {
-      const bool hot = record_hit(keys[i]);
-      const std::vector<std::int32_t> owners = route(keys[i], hot);
-      std::size_t start = 0;
-      if (owners.size() > 1) {
-        ++replica_routed_;
-        start = static_cast<std::size_t>(replica_rr_++ % owners.size());
-      }
-      for (std::size_t attempt = 0; attempt < owners.size(); ++attempt) {
-        const std::int32_t peer =
-            owners[(start + attempt) % owners.size()];
-        replies[i] = pool_.forward(peer, lines[i]);
-        if (replies[i].has_value()) {
-          if (attempt > 0) ++reroutes_;
-          break;
-        }
-        ++peer_unreachable_;
-      }
+      replies[i] = forward_to_owners(keys[i], lines[i]);
       MutexLock lock(done_mutex);
       if (--remaining == 0) done_cv.notify_all();
     });
@@ -270,21 +183,17 @@ std::string RouterServer::handle_campaign(const ServiceRequest& request) {
   // path emits — splicing each member's result bytes verbatim.
   std::vector<CampaignMemberResponse> out(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    if (!replies[i].has_value()) {
-      ++responses_retry_;
+    // An unreachable owner counts as a retry.
+    const ResponseStatus status = replies[i].has_value()
+                                      ? response_status(*replies[i])
+                                      : ResponseStatus::kRetry;
+    if (status == ResponseStatus::kRetry) {
       return retry_response(request.id, options_.retry_after_ms,
                             /*queue_depth=*/0);
     }
     const std::string& reply = *replies[i];
-    const std::string status = extract_status(reply);
-    if (status == "retry") {
-      ++responses_retry_;
-      return retry_response(request.id, options_.retry_after_ms,
-                            /*queue_depth=*/0);
-    }
-    if (status != "ok" ||
-        !extract_result_raw(reply, &out[i].result_json)) {
-      ++responses_error_;
+    if (status != ResponseStatus::kOk ||
+        !extract_last_member(reply, "result", &out[i].result_json)) {
       return error_response(request.id, extract_error(reply));
     }
     const std::size_t result_pos = reply.find("\"result\":");
@@ -292,7 +201,6 @@ std::string RouterServer::handle_campaign(const ServiceRequest& request) {
         reply.find("\"cached\":true") < result_pos;
     out[i].key = keys[i];
   }
-  ++responses_ok_;
   return campaign_response(request.id, out);
 }
 
@@ -307,7 +215,6 @@ std::string RouterServer::handle_shard(const ServiceRequest& request) {
     hot = it != hot_index_.end() &&
           it->second->second >= options_.hot_threshold;
   }
-  ++responses_ok_;
   return shard_response(request.id, key, route(key, hot));
 }
 
@@ -327,19 +234,10 @@ std::string RouterServer::handle_peer_stats(const ServiceRequest& request) {
     auto reply =
         pool_.forward(static_cast<std::int32_t>(peer), probe_line);
     std::string stats_raw;
-    bool have = false;
-    if (reply.has_value() && extract_status(*reply) == "ok") {
-      // stats_response puts "stats" last; splice it like a result.
-      static constexpr char kNeedle[] = "\"stats\":";
-      const std::size_t pos = reply->find(kNeedle);
-      if (pos != std::string::npos && reply->back() == '}') {
-        const std::size_t start = pos + sizeof(kNeedle) - 1;
-        stats_raw = reply->substr(start, reply->size() - start - 1);
-        have = true;
-      }
-    }
     w.key("stats");
-    if (have) {
+    if (reply.has_value() &&
+        response_status(*reply) == ResponseStatus::kOk &&
+        extract_last_member(*reply, "stats", &stats_raw)) {
       w.raw(stats_raw);
     } else {
       w.value_null();
@@ -349,7 +247,6 @@ std::string RouterServer::handle_peer_stats(const ServiceRequest& request) {
   }
   w.end_array();
   w.end_object();
-  ++responses_ok_;
   return w.str();
 }
 
@@ -357,7 +254,6 @@ std::string RouterServer::handle_ship(const ServiceRequest& request) {
   const std::int32_t from = request.ship_from;
   if (from < 0 ||
       from >= static_cast<std::int32_t>(options_.peers.size())) {
-    ++responses_error_;
     return error_response(
         request.id,
         str_format("ship_segment from %d out of range (fleet of %zu)",
@@ -370,14 +266,12 @@ std::string RouterServer::handle_ship(const ServiceRequest& request) {
     const std::int32_t to = request.ship_peer;
     if (to < 0 ||
         to >= static_cast<std::int32_t>(options_.peers.size())) {
-      ++responses_error_;
       return error_response(
           request.id,
           str_format("ship_segment to %d out of range (fleet of %zu)",
                      to, options_.peers.size()));
     }
     if (to == from) {
-      ++responses_error_;
       return error_response(request.id,
                             "ship_segment source equals target");
     }
@@ -392,40 +286,19 @@ std::string RouterServer::handle_ship(const ServiceRequest& request) {
   auto reply = pool_.forward(from, serialize_request(order));
   if (!reply.has_value()) {
     ++peer_unreachable_;
-    ++responses_retry_;
     return retry_response(request.id, options_.retry_after_ms,
                           /*queue_depth=*/0);
   }
   ++ships_routed_;
-  count_status(*reply);
   return *reply;
 }
 
 void RouterServer::drain() {
-  MutexLock drain_lock(drain_mutex_);
-  if (drained_) return;
-  draining_ = true;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-  {
-    MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      connection->socket.shutdown_read();
-    }
-    for (const auto& connection : connections_) {
-      connection->thread.join();
-    }
-    connections_.clear();
-  }
+  core_.drain();
   pool_.close_all();
-  drained_ = true;
 }
 
 std::string RouterServer::stats_json() const {
-  const double uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
   std::int64_t hot_tracked = 0;
   std::int64_t hot_keys = 0;
   {
@@ -436,48 +309,38 @@ std::string RouterServer::stats_json() const {
     }
   }
 
-  JsonWriter w;
-  w.begin_object();
-  w.kv("uptime_s", uptime_s, 3);
-  w.key("requests").begin_object();
-  w.kv("total", requests_total_.load());
-  w.kv("ok", responses_ok_.load());
-  w.kv("retry", responses_retry_.load());
-  w.kv("error", responses_error_.load());
-  w.kv("protocol_errors", protocol_errors_.load());
-  w.end_object();
-  w.key("routing").begin_object();
-  w.kv("runs_forwarded", runs_forwarded_.load());
-  w.kv("campaigns", campaigns_.load());
-  w.kv("campaign_members", campaign_members_.load());
-  w.kv("shard_queries", shard_queries_.load());
-  w.kv("replica_routed", replica_routed_.load());
-  w.kv("reroutes", reroutes_.load());
-  w.kv("peer_unreachable", peer_unreachable_.load());
-  w.kv("hot_tracked", hot_tracked);
-  w.kv("hot_keys", hot_keys);
-  w.kv("hot_threshold", options_.hot_threshold);
-  w.end_object();
-  w.key("cluster").begin_object();
-  w.kv("replicas", options_.replicas);
-  w.kv("vnodes", options_.vnodes);
-  w.kv("ships_routed", ships_routed_.load());
-  w.key("peers").begin_array();
-  for (std::size_t peer = 0; peer < options_.peers.size(); ++peer) {
-    const PeerPool::Counters counters =
-        pool_.counters(static_cast<std::int32_t>(peer));
-    w.begin_object();
-    w.kv("peer", static_cast<std::int64_t>(peer));
-    w.kv("port", static_cast<std::int64_t>(options_.peers[peer]));
-    w.kv("forwarded", counters.forwarded);
-    w.kv("errors", counters.errors);
-    w.kv("reconnects", counters.reconnects);
+  return core_.stats_json([&](JsonWriter& w, double) {
+    w.key("routing").begin_object();
+    w.kv("runs_forwarded", runs_forwarded_.load());
+    w.kv("campaigns", campaigns_.load());
+    w.kv("campaign_members", campaign_members_.load());
+    w.kv("shard_queries", shard_queries_.load());
+    w.kv("replica_routed", replica_routed_.load());
+    w.kv("reroutes", reroutes_.load());
+    w.kv("peer_unreachable", peer_unreachable_.load());
+    w.kv("hot_tracked", hot_tracked);
+    w.kv("hot_keys", hot_keys);
+    w.kv("hot_threshold", options_.hot_threshold);
     w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.end_object();
-  return w.str();
+    w.key("cluster").begin_object();
+    w.kv("replicas", options_.replicas);
+    w.kv("vnodes", options_.vnodes);
+    w.kv("ships_routed", ships_routed_.load());
+    w.key("peers").begin_array();
+    for (std::size_t peer = 0; peer < options_.peers.size(); ++peer) {
+      const PeerPool::Counters counters =
+          pool_.counters(static_cast<std::int32_t>(peer));
+      w.begin_object();
+      w.kv("peer", static_cast<std::int64_t>(peer));
+      w.kv("port", static_cast<std::int64_t>(options_.peers[peer]));
+      w.kv("forwarded", counters.forwarded);
+      w.kv("errors", counters.errors);
+      w.kv("reconnects", counters.reconnects);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  });
 }
 
 }  // namespace bfdn

@@ -1,13 +1,17 @@
 // Consistent-hash routing front end of the sharded service fleet.
 //
-// A RouterServer speaks the same line-delimited JSON protocol as a
-// shard (src/service/server.h) on the client side, but owns no cache,
-// store, or scheduler: it fingerprints each run request with the
-// protocol's canonical fingerprint, looks the key up on the consistent
-// ring (ring.h), and forwards the request line to the owning shard over
-// a pooled connection (forward.h), splicing the shard's response bytes
-// back verbatim — routed responses are byte-identical to the same
-// request served solo (pinned by tests/cluster_test.cpp).
+// A RouterServer is, like the shard (src/service/server.h), a request
+// handler on the line-server core (src/service/line_server.h), which
+// owns the client connections, the parse preamble, the request
+// counters and the drain; the router's own drain step closes its pooled
+// shard connections after the core has released the client ones. It
+// owns no cache, store, or scheduler: it fingerprints each run request
+// with the protocol's canonical fingerprint, looks the key up on the
+// consistent ring (ring.h), and forwards the request line to the
+// owning shard over a pooled connection (forward.h), splicing the
+// shard's response bytes back verbatim — routed responses are
+// byte-identical to the same request served solo (pinned by
+// tests/cluster_test.cpp).
 //
 // Campaigns are expanded router-side and each member is forwarded to
 // its own fingerprint's owner concurrently; the members' result bytes
@@ -23,20 +27,18 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <list>
-#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/forward.h"
 #include "cluster/ring.h"
+#include "service/line_server.h"
 #include "service/protocol.h"
-#include "support/socket.h"
 #include "support/thread_annotations.h"
 #include "support/thread_pool.h"
 
@@ -73,26 +75,20 @@ class RouterServer {
   RouterServer& operator=(const RouterServer&) = delete;
 
   void start();
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return core_.port(); }
 
   /// Graceful drain: stop accepting, finish in-flight forwards, release
   /// client connections and pooled shard connections. Idempotent.
-  void drain() BFDN_EXCLUDES(drain_mutex_, connections_mutex_);
+  void drain();
 
   /// The router's stats object: request counters, routing counters, and
   /// the cluster block (per-peer forward/replica/ship counters).
   std::string stats_json() const BFDN_EXCLUDES(hot_mutex_);
 
  private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> finished{false};
-  };
-
-  void accept_loop() BFDN_EXCLUDES(connections_mutex_);
-  void serve_connection(Connection* connection);
-  std::string handle_line(const std::string& line);
+  /// The core's handler; `line` is the raw request line, forwarded
+  /// verbatim for run requests.
+  std::string handle(const ServiceRequest& request, const std::string& line);
   std::string handle_run(const ServiceRequest& request,
                          const std::string& line);
   std::string handle_campaign(const ServiceRequest& request);
@@ -100,32 +96,23 @@ class RouterServer {
       BFDN_EXCLUDES(hot_mutex_);
   std::string handle_peer_stats(const ServiceRequest& request);
   std::string handle_ship(const ServiceRequest& request);
-  void reap_finished_locked() BFDN_REQUIRES(connections_mutex_);
 
   /// Bumps the key's frequency and returns whether it is hot now.
   bool record_hit(std::uint64_t key) BFDN_EXCLUDES(hot_mutex_);
   /// Hot-aware owner list: one owner for cold keys, `replicas` distinct
   /// owners for hot ones. Does not bump the frequency.
   std::vector<std::int32_t> route(std::uint64_t key, bool hot) const;
-  void count_status(const std::string& response);
+  /// Forwards `line` to the key's owners (recording the hit): the hot
+  /// replicas are tried round-robin-first with failover. Counts replica
+  /// routes, reroutes and unreachable peers; std::nullopt when no owner
+  /// answered.
+  std::optional<std::string> forward_to_owners(std::uint64_t key,
+                                               const std::string& line);
 
   RouterOptions options_;
   ConsistentRing ring_;
   PeerPool pool_;
   ThreadPool fanout_;
-  ListenSocket listener_;
-
-  std::thread accept_thread_;
-  Mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      BFDN_GUARDED_BY(connections_mutex_);
-
-  std::atomic<bool> draining_{false};
-  // Serialized by drain_mutex_ (same shape as ServiceServer: the
-  // acquisition order drain_mutex_ -> connections_mutex_ is an edge in
-  // the lock-order graph).
-  Mutex drain_mutex_;
-  bool drained_ BFDN_GUARDED_BY(drain_mutex_) = false;
 
   // Hot-key frequency tracker (LRU over tracked keys).
   mutable Mutex hot_mutex_;
@@ -135,12 +122,6 @@ class RouterServer {
       hot_index_ BFDN_GUARDED_BY(hot_mutex_);
   std::atomic<std::uint64_t> replica_rr_{0};
 
-  std::chrono::steady_clock::time_point started_at_;
-  std::atomic<std::int64_t> requests_total_{0};
-  std::atomic<std::int64_t> responses_ok_{0};
-  std::atomic<std::int64_t> responses_retry_{0};
-  std::atomic<std::int64_t> responses_error_{0};
-  std::atomic<std::int64_t> protocol_errors_{0};
   std::atomic<std::int64_t> runs_forwarded_{0};
   std::atomic<std::int64_t> campaigns_{0};
   std::atomic<std::int64_t> campaign_members_{0};
@@ -149,6 +130,8 @@ class RouterServer {
   std::atomic<std::int64_t> reroutes_{0};
   std::atomic<std::int64_t> peer_unreachable_{0};
   std::atomic<std::int64_t> ships_routed_{0};
+  // Last: its connection threads call into every member above.
+  LineServer core_;
 };
 
 }  // namespace bfdn

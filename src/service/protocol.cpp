@@ -525,6 +525,16 @@ std::string serialize_run_result(const ServiceRequest& request,
   return w.str();
 }
 
+ResponseStatus response_status(std::string_view response) {
+  static constexpr std::string_view kNeedle = "\"status\":\"";
+  const std::size_t pos = response.find(kNeedle);
+  if (pos == std::string_view::npos) return ResponseStatus::kError;
+  const std::string_view value = response.substr(pos + kNeedle.size());
+  if (value.starts_with("ok\"")) return ResponseStatus::kOk;
+  if (value.starts_with("retry\"")) return ResponseStatus::kRetry;
+  return ResponseStatus::kError;
+}
+
 std::string ok_response(const std::string& id, bool cached,
                         std::uint64_t key, const std::string& result_json) {
   JsonWriter w;

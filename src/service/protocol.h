@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/tree.h"
@@ -69,6 +70,14 @@ enum class RequestType : std::uint8_t {
 
 /// Hard bound on expanded campaign members per request.
 constexpr std::size_t kMaxCampaignMembers = 64;
+
+/// Hard bound on one request line, terminator excluded. The largest
+/// legal request is a campaign at kMaxCampaignMembers: 64 twenty-digit
+/// algo_seeds plus every run field at its widest serializes to under
+/// 2 KiB, so 64 KiB leaves a margin of over 32x for whitespace and ids.
+/// Servers answer an over-cap line with one error response and close
+/// the connection. (Responses are not capped: clients read them whole.)
+constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 struct ServiceRequest {
   RequestType type = RequestType::kRun;
@@ -150,6 +159,12 @@ bool batchable_request(const ServiceRequest& request);
 std::string batch_coalesce_key(const ServiceRequest& request);
 
 // Response envelopes (no trailing newline).
+enum class ResponseStatus : std::uint8_t { kOk, kRetry, kError };
+/// The envelope's "status", read from the response prefix without
+/// parsing the document ("status" precedes every payload member). A
+/// line without a recognizable status reads as kError.
+ResponseStatus response_status(std::string_view response);
+
 std::string ok_response(const std::string& id, bool cached,
                         std::uint64_t key, const std::string& result_json);
 std::string retry_response(const std::string& id,

@@ -28,138 +28,73 @@ ServiceServer::ServiceServer(ServerOptions options)
     : options_(options),
       store_(make_store(options)),
       cache_(options.cache_capacity, store_.get()),
-      scheduler_({options.threads, options.queue_capacity}) {}
+      scheduler_({options.threads, options.queue_capacity}),
+      core_([this](const ServiceRequest& request, const std::string&,
+                   Socket& socket) { return handle(request, socket); }) {}
 
 ServiceServer::~ServiceServer() { drain(); }
 
-void ServiceServer::start() {
-  BFDN_REQUIRE(!accept_thread_.joinable(), "server already started");
-  listener_.listen(options_.port);
-  started_at_ = std::chrono::steady_clock::now();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
+void ServiceServer::start() { core_.start(options_.port); }
 
-void ServiceServer::accept_loop() {
-  while (!draining_) {
-    auto socket = listener_.accept(/*timeout_ms=*/50);
-    if (!socket.has_value()) continue;
-    MutexLock lock(connections_mutex_);
-    reap_finished_locked();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(*socket);
-    Connection* raw = connection.get();
-    connection->thread =
-        std::thread([this, raw] { serve_connection(raw); });
-    connections_.push_back(std::move(connection));
+std::string ServiceServer::handle(const ServiceRequest& request,
+                                  Socket& socket) {
+  switch (request.type) {
+    case RequestType::kStats:
+      return stats_response(request.id, stats_json());
+    case RequestType::kCompact:
+      return handle_compact(request);
+    case RequestType::kShipSegment:
+      return handle_ship(request);
+    case RequestType::kSegmentFill:
+      return handle_fill(request, socket);
+    case RequestType::kShard:
+    case RequestType::kPeerStats:
+      // The ring lives above the service layer (src/cluster); a shard
+      // cannot answer routing questions without inverting that DAG.
+      return error_response(request.id,
+                            "shard/peer_stats are router requests "
+                            "(ask bfdn_route)");
+    case RequestType::kRun:
+    case RequestType::kCampaign:
+      break;
   }
-}
-
-void ServiceServer::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->finished) {
-      (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ServiceServer::serve_connection(Connection* connection) {
-  for (;;) {
-    const auto line = connection->socket.recv_line();
-    if (!line.has_value()) break;
-    if (line->empty()) continue;
-    ++requests_total_;
-    const std::string response = handle_line(*line, connection->socket);
-    if (!connection->socket.send_all(response + "\n")) break;
-  }
-  connection->finished = true;
-}
-
-std::string ServiceServer::handle_line(const std::string& line,
-                                       Socket& socket) {
-  ServiceRequest request;
-  std::string error;
-  if (!parse_request(line, request, &error)) {
-    ++protocol_errors_;
-    ++responses_error_;
-    return error_response("", error);
-  }
-  if (request.type == RequestType::kStats) {
-    return stats_response(request.id, stats_json());
-  }
-  if (request.type == RequestType::kCompact) {
-    return handle_compact(request);
-  }
-  if (request.type == RequestType::kCampaign) {
-    return handle_campaign(request);
-  }
-  if (request.type == RequestType::kShipSegment) {
-    return handle_ship(request);
-  }
-  if (request.type == RequestType::kSegmentFill) {
-    return handle_fill(request, socket);
-  }
-  if (request.type == RequestType::kShard ||
-      request.type == RequestType::kPeerStats) {
-    // The ring lives above the service layer (src/cluster); a shard
-    // cannot answer routing questions without inverting that DAG.
-    ++responses_error_;
-    return error_response(request.id,
-                          "shard/peer_stats are router requests "
-                          "(ask bfdn_route)");
-  }
-  return handle_run(request);
-}
-
-std::string ServiceServer::handle_run(const ServiceRequest& request) {
   if (request.recipe.nodes > options_.max_nodes) {
-    ++responses_error_;
     return error_response(
         request.id,
         str_format("nodes exceeds server limit %lld",
                    static_cast<long long>(options_.max_nodes)));
   }
+  return request.type == RequestType::kCampaign ? handle_campaign(request)
+                                                : handle_run(request);
+}
 
+std::string ServiceServer::refusal(Scheduler::Admit admit,
+                                   const std::string& id) const {
+  return admit == Scheduler::Admit::kQueueFull
+             ? retry_response(id, options_.retry_after_ms,
+                              scheduler_.queue_depth())
+             : error_response(id, "server is draining");
+}
+
+std::string ServiceServer::handle_run(const ServiceRequest& request) {
   const std::uint64_t key = request_fingerprint(request);
   if (auto cached = cache_.get(key); cached.has_value()) {
-    ++responses_ok_;
     return ok_response(request.id, /*cached=*/true, key, *cached);
   }
 
   std::shared_ptr<Scheduler::Job> job;
-  switch (scheduler_.submit(request, &job)) {
-    case Scheduler::Admit::kQueueFull:
-      ++responses_retry_;
-      return retry_response(request.id, options_.retry_after_ms,
-                            scheduler_.queue_depth());
-    case Scheduler::Admit::kDraining:
-      ++responses_error_;
-      return error_response(request.id, "server is draining");
-    case Scheduler::Admit::kAdmitted:
-      break;
-  }
+  const Scheduler::Admit admit = scheduler_.submit(request, &job);
+  if (admit != Scheduler::Admit::kAdmitted) return refusal(admit, request.id);
 
   const JobOutcome& outcome = job->wait();
   if (!outcome.ok) {
-    ++responses_error_;
     return error_response(request.id, outcome.payload);
   }
   cache_.put(key, outcome.payload);
-  ++responses_ok_;
   return ok_response(request.id, /*cached=*/false, key, outcome.payload);
 }
 
 std::string ServiceServer::handle_campaign(const ServiceRequest& request) {
-  if (request.recipe.nodes > options_.max_nodes) {
-    ++responses_error_;
-    return error_response(
-        request.id,
-        str_format("nodes exceeds server limit %lld",
-                   static_cast<long long>(options_.max_nodes)));
-  }
-
   // Each member is cached under its own solo fingerprint: hits splice
   // the original solo bytes back verbatim, misses are admitted as one
   // atomic group (the scheduler then routes same-recipe members into a
@@ -190,16 +125,9 @@ std::string ServiceServer::handle_campaign(const ServiceRequest& request) {
 
   if (!misses.empty()) {
     std::vector<std::shared_ptr<Scheduler::Job>> jobs;
-    switch (scheduler_.submit_all(misses, &jobs)) {
-      case Scheduler::Admit::kQueueFull:
-        ++responses_retry_;
-        return retry_response(request.id, options_.retry_after_ms,
-                              scheduler_.queue_depth());
-      case Scheduler::Admit::kDraining:
-        ++responses_error_;
-        return error_response(request.id, "server is draining");
-      case Scheduler::Admit::kAdmitted:
-        break;
+    const Scheduler::Admit admit = scheduler_.submit_all(misses, &jobs);
+    if (admit != Scheduler::Admit::kAdmitted) {
+      return refusal(admit, request.id);
     }
     // Wait for every member before reporting, so an early failure
     // cannot leave admitted siblings racing the response.
@@ -215,18 +143,15 @@ std::string ServiceServer::handle_campaign(const ServiceRequest& request) {
       responses[slot].result_json = outcome.payload;
     }
     if (!first_error.empty()) {
-      ++responses_error_;
       return error_response(request.id, first_error);
     }
   }
 
-  ++responses_ok_;
   return campaign_response(request.id, responses);
 }
 
 std::string ServiceServer::handle_compact(const ServiceRequest& request) {
   if (store_ == nullptr) {
-    ++responses_error_;
     return error_response(request.id, "server has no durable store");
   }
   // The cache's LRU residents are the live set; everything evicted from
@@ -240,7 +165,6 @@ std::string ServiceServer::handle_compact(const ServiceRequest& request) {
   summary.bytes_after = result.bytes_after;
   summary.kept = result.kept;
   summary.dropped = result.dropped;
-  ++responses_ok_;
   return compact_response(request.id, summary);
 }
 
@@ -267,14 +191,12 @@ std::string ServiceServer::handle_ship(const ServiceRequest& request) {
     const std::int32_t peer = request.ship_peer;
     if (peer < 0 ||
         peer >= static_cast<std::int32_t>(options_.peers.size())) {
-      ++responses_error_;
       return error_response(
           request.id,
           str_format("ship_segment peer %d out of range (fleet of %zu)",
                      peer, options_.peers.size()));
     }
     if (peer == options_.peer_id) {
-      ++responses_error_;
       return error_response(request.id,
                             "ship_segment target is this node");
     }
@@ -286,7 +208,6 @@ std::string ServiceServer::handle_ship(const ServiceRequest& request) {
   try {
     image = export_image(&records);
   } catch (const CheckError& e) {
-    ++responses_error_;
     return error_response(request.id,
                           std::string("export failed: ") + e.what());
   }
@@ -302,26 +223,21 @@ std::string ServiceServer::handle_ship(const ServiceRequest& request) {
     header.fill_bytes = static_cast<std::int64_t>(image.size());
     if (!peer.send_all(serialize_request(header) + "\n") ||
         !peer.send_all(image)) {
-      ++responses_error_;
       return error_response(request.id, "peer connection lost mid-ship");
     }
     const auto ack = peer.recv_line();
     if (!ack.has_value()) {
-      ++responses_error_;
       return error_response(request.id, "peer closed before fill ack");
     }
     std::string error;
     if (!parse_fill_response(*ack, &summary.peer, &error)) {
-      ++responses_error_;
       return error_response(request.id, error);
     }
   } catch (const CheckError& e) {
-    ++responses_error_;
     return error_response(request.id, e.what());
   }
   ++ships_sent_;
   ship_records_sent_ += records;
-  ++responses_ok_;
   return ship_response(request.id, summary);
 }
 
@@ -330,12 +246,10 @@ std::string ServiceServer::handle_fill(const ServiceRequest& request,
   const auto image =
       socket.recv_exact(static_cast<std::size_t>(request.fill_bytes));
   if (!image.has_value()) {
-    ++responses_error_;
     return error_response(request.id, "connection lost mid-fill");
   }
   if (std::memcmp(image->data(), store::kSegmentMagic,
                   store::kSegmentHeaderBytes) != 0) {
-    ++responses_error_;
     return error_response(request.id, "bad segment magic");
   }
 
@@ -351,7 +265,6 @@ std::string ServiceServer::handle_fill(const ServiceRequest& request,
       fill.corrupted_skipped = result.corrupted_skipped;
       fill.torn_truncated = result.torn_truncated;
     } catch (const CheckError& e) {
-      ++responses_error_;
       return error_response(request.id,
                             std::string("install failed: ") + e.what());
     }
@@ -390,140 +303,107 @@ std::string ServiceServer::handle_fill(const ServiceRequest& request,
   }
   ++fills_received_;
   fill_records_imported_ += fill.imported;
-  ++responses_ok_;
   return fill_response(request.id, fill);
 }
 
 void ServiceServer::drain() {
-  MutexLock drain_lock(drain_mutex_);
-  if (drained_) return;
-  draining_ = true;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-
-  // Every admitted job finishes; connection threads blocked in
-  // Job::wait() get their outcome and write the response.
-  scheduler_.drain();
-
-  // Make everything the drained jobs produced durable before the final
-  // stats flush, so a restart over the same store dir starts warm.
-  if (store_ != nullptr) store_->flush();
-
-  // Wake connection threads idling in recv_line and let them exit.
-  {
-    MutexLock lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      connection->socket.shutdown_read();
-    }
-    for (const auto& connection : connections_) {
-      connection->thread.join();
-    }
-    connections_.clear();
-  }
-  drained_ = true;
+  core_.drain([this] {
+    // Every admitted job finishes; connection threads blocked in
+    // Job::wait() get their outcome and write the response.
+    scheduler_.drain();
+    // Make everything the drained jobs produced durable before the
+    // final stats flush, so a restart over the same store dir starts
+    // warm.
+    if (store_ != nullptr) store_->flush();
+  });
 }
 
 std::string ServiceServer::stats_json() const {
-  const auto cache = cache_.stats();
-  const auto jobs = scheduler_.stats();
-  const double uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-
-  JsonWriter w;
-  w.begin_object();
-  w.kv("uptime_s", uptime_s, 3);
-  w.key("queue").begin_object();
-  w.kv("depth", scheduler_.queue_depth());
-  w.kv("capacity", scheduler_.queue_capacity());
-  w.kv("threads", scheduler_.num_threads());
-  w.end_object();
-  w.key("requests").begin_object();
-  w.kv("total", requests_total_.load());
-  w.kv("ok", responses_ok_.load());
-  w.kv("retry", responses_retry_.load());
-  w.kv("error", responses_error_.load());
-  w.kv("protocol_errors", protocol_errors_.load());
-  w.end_object();
-  w.key("cache").begin_object();
-  w.kv("hits", cache.hits);
-  w.kv("misses", cache.misses);
-  w.kv("store_hits", cache.store_hits);
-  w.kv("evictions", cache.evictions);
-  w.kv("entries", static_cast<std::int64_t>(cache.entries));
-  w.kv("capacity", static_cast<std::int64_t>(cache.capacity));
-  w.kv("hit_rate", cache.hit_rate(), 4);
-  w.end_object();
-  if (store_ != nullptr) {
-    const StoreStats store = store_->stats();
-    w.key("store").begin_object();
-    w.kv("segments", store.segments);
-    w.kv("file_bytes", store.file_bytes);
-    w.kv("records", store.records);
-    w.kv("pending_records", store.pending_records);
-    w.kv("recovered_records", store.recovered_records);
-    w.kv("torn_tail_truncations", store.torn_tail_truncations);
-    w.kv("corrupted_skipped", store.corrupted_skipped);
-    w.kv("appended_records", store.appended_records);
-    w.kv("appended_bytes", store.appended_bytes);
-    w.kv("flushes", store.flushes);
-    w.kv("syncs", store.syncs);
-    w.kv("bulk_lookups", store.bulk_lookups);
-    w.kv("bulk_key_hits", store.bulk_key_hits);
-    w.kv("compactions", store.compactions);
-    w.kv("compaction_dropped", store.compaction_dropped);
-    w.kv("exports", store.exports);
-    w.kv("exported_records", store.exported_records);
-    w.kv("imports", store.imports);
-    w.kv("imported_records", store.imported_records);
-    w.kv("import_duplicates", store.import_duplicates);
-    w.kv("import_corrupted", store.import_corrupted);
-    w.kv("import_torn", store.import_torn);
+  return core_.stats_json([this](JsonWriter& w, double uptime_s) {
+    const auto cache = cache_.stats();
+    const auto jobs = scheduler_.stats();
+    w.key("queue").begin_object();
+    w.kv("depth", scheduler_.queue_depth());
+    w.kv("capacity", scheduler_.queue_capacity());
+    w.kv("threads", scheduler_.num_threads());
     w.end_object();
-  }
-  w.key("cluster").begin_object();
-  w.kv("peer_id", options_.peer_id);
-  w.key("peers").begin_array();
-  for (const std::uint16_t peer : options_.peers) {
-    w.value(static_cast<std::int64_t>(peer));
-  }
-  w.end_array();
-  w.kv("ships_sent", ships_sent_.load());
-  w.kv("ship_records_sent", ship_records_sent_.load());
-  w.kv("fills_received", fills_received_.load());
-  w.kv("fill_records_imported", fill_records_imported_.load());
-  w.end_object();
-  w.key("jobs").begin_object();
-  w.kv("admitted", jobs.admitted);
-  w.kv("completed", jobs.completed);
-  w.kv("rejected_full", jobs.rejected_full);
-  w.kv("rejected_draining", jobs.rejected_draining);
-  w.kv("batched", jobs.batched_jobs);
-  w.kv("trees_built", jobs.trees_built);
-  w.kv("batch_groups", jobs.batch_groups);
-  w.kv("batch_members", jobs.batch_members);
-  w.kv("batch_coalesced", jobs.batch_coalesced);
-  w.kv("per_sec", uptime_s > 0
-                      ? static_cast<double>(jobs.completed) / uptime_s
-                      : 0.0,
-       2);
-  w.end_object();
-  w.key("latency_us").begin_object();
-  w.kv("count", static_cast<std::int64_t>(jobs.latency_us.count()));
-  if (jobs.latency_us.count() > 0) {
-    w.kv("mean", jobs.latency_us.mean(), 1);
-    w.kv("min", jobs.latency_us.min(), 1);
-    w.kv("max", jobs.latency_us.max(), 1);
-  }
-  w.key("log2_hist").begin_object();
-  for (const auto& [bucket, count] : jobs.latency_log2_us.buckets()) {
-    w.kv(str_format("%lld", static_cast<long long>(bucket)), count);
-  }
-  w.end_object();
-  w.end_object();
-  w.end_object();
-  return w.str();
+    w.key("cache").begin_object();
+    w.kv("hits", cache.hits);
+    w.kv("misses", cache.misses);
+    w.kv("store_hits", cache.store_hits);
+    w.kv("evictions", cache.evictions);
+    w.kv("entries", static_cast<std::int64_t>(cache.entries));
+    w.kv("capacity", static_cast<std::int64_t>(cache.capacity));
+    w.kv("hit_rate", cache.hit_rate(), 4);
+    w.end_object();
+    if (store_ != nullptr) {
+      const StoreStats store = store_->stats();
+      w.key("store").begin_object();
+      w.kv("segments", store.segments);
+      w.kv("file_bytes", store.file_bytes);
+      w.kv("records", store.records);
+      w.kv("pending_records", store.pending_records);
+      w.kv("recovered_records", store.recovered_records);
+      w.kv("torn_tail_truncations", store.torn_tail_truncations);
+      w.kv("corrupted_skipped", store.corrupted_skipped);
+      w.kv("appended_records", store.appended_records);
+      w.kv("appended_bytes", store.appended_bytes);
+      w.kv("flushes", store.flushes);
+      w.kv("syncs", store.syncs);
+      w.kv("bulk_lookups", store.bulk_lookups);
+      w.kv("bulk_key_hits", store.bulk_key_hits);
+      w.kv("compactions", store.compactions);
+      w.kv("compaction_dropped", store.compaction_dropped);
+      w.kv("exports", store.exports);
+      w.kv("exported_records", store.exported_records);
+      w.kv("imports", store.imports);
+      w.kv("imported_records", store.imported_records);
+      w.kv("import_duplicates", store.import_duplicates);
+      w.kv("import_corrupted", store.import_corrupted);
+      w.kv("import_torn", store.import_torn);
+      w.end_object();
+    }
+    w.key("cluster").begin_object();
+    w.kv("peer_id", options_.peer_id);
+    w.key("peers").begin_array();
+    for (const std::uint16_t peer : options_.peers) {
+      w.value(static_cast<std::int64_t>(peer));
+    }
+    w.end_array();
+    w.kv("ships_sent", ships_sent_.load());
+    w.kv("ship_records_sent", ship_records_sent_.load());
+    w.kv("fills_received", fills_received_.load());
+    w.kv("fill_records_imported", fill_records_imported_.load());
+    w.end_object();
+    w.key("jobs").begin_object();
+    w.kv("admitted", jobs.admitted);
+    w.kv("completed", jobs.completed);
+    w.kv("rejected_full", jobs.rejected_full);
+    w.kv("rejected_draining", jobs.rejected_draining);
+    w.kv("batched", jobs.batched_jobs);
+    w.kv("trees_built", jobs.trees_built);
+    w.kv("batch_groups", jobs.batch_groups);
+    w.kv("batch_members", jobs.batch_members);
+    w.kv("batch_coalesced", jobs.batch_coalesced);
+    w.kv("per_sec", uptime_s > 0
+                        ? static_cast<double>(jobs.completed) / uptime_s
+                        : 0.0,
+         2);
+    w.end_object();
+    w.key("latency_us").begin_object();
+    w.kv("count", static_cast<std::int64_t>(jobs.latency_us.count()));
+    if (jobs.latency_us.count() > 0) {
+      w.kv("mean", jobs.latency_us.mean(), 1);
+      w.kv("min", jobs.latency_us.min(), 1);
+      w.kv("max", jobs.latency_us.max(), 1);
+    }
+    w.key("log2_hist").begin_object();
+    for (const auto& [bucket, count] : jobs.latency_log2_us.buckets()) {
+      w.kv(str_format("%lld", static_cast<long long>(bucket)), count);
+    }
+    w.end_object();
+    w.end_object();
+  });
 }
 
 }  // namespace bfdn

@@ -1,26 +1,25 @@
-// TCP front end of the exploration service: accepts loopback
-// connections, speaks the line-delimited JSON protocol (protocol.h),
-// consults the content-addressed result cache before scheduling, and
-// drains gracefully — stop accepting, finish every admitted job, answer
-// the in-flight responses, then release the connections.
+// The exploration service's shard: a request handler on the line-server
+// core (line_server.h), which owns connections, parsing, the request
+// counters and drain. Run requests consult the content-addressed result
+// cache before scheduling. Drain hook: once the core stops accepting,
+// finish every admitted job (their responses are written) and flush the
+// store; the core then releases the connections.
 //
 // Embeddable: tests run servers in-process (start / drain / stats);
 // tools/bfdn_serve wraps one instance and wires SIGTERM to drain().
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/cache.h"
+#include "service/line_server.h"
 #include "service/scheduler.h"
 #include "store/result_store.h"
 #include "support/socket.h"
-#include "support/thread_annotations.h"
 
 namespace bfdn {
 
@@ -61,12 +60,12 @@ class ServiceServer {
   /// Binds, listens and starts accepting. Throws CheckError when the
   /// port is taken.
   void start();
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return core_.port(); }
 
   /// Graceful drain: stop accepting, reject new submissions, finish
   /// every admitted job (their responses are written), close
   /// connections. Idempotent; also run by the destructor.
-  void drain() BFDN_EXCLUDES(drain_mutex_, connections_mutex_);
+  void drain();
 
   /// The protocol's stats object (also the final flush bfdn_serve
   /// prints on drain).
@@ -74,22 +73,17 @@ class ServiceServer {
 
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
   Scheduler::Stats scheduler_stats() const { return scheduler_.stats(); }
-  std::int64_t protocol_errors() const { return protocol_errors_; }
+  std::int64_t protocol_errors() const { return core_.protocol_errors(); }
   /// Null when the server runs without a durable store.
   ResultStore* store() { return store_.get(); }
 
  private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> finished{false};
-  };
-
-  void accept_loop() BFDN_EXCLUDES(connections_mutex_);
-  void serve_connection(Connection* connection);
-  /// `socket` lets kSegmentFill consume the raw image bytes that follow
-  /// the header line on the same connection.
-  std::string handle_line(const std::string& line, Socket& socket);
+  /// The core's handler. `socket` lets kSegmentFill consume the raw
+  /// image bytes that follow the header line on the same connection.
+  std::string handle(const ServiceRequest& request, Socket& socket);
+  /// The answer to a job the scheduler did not admit: retry when the
+  /// queue is full, error when draining.
+  std::string refusal(Scheduler::Admit admit, const std::string& id) const;
   std::string handle_run(const ServiceRequest& request);
   std::string handle_campaign(const ServiceRequest& request);
   std::string handle_compact(const ServiceRequest& request);
@@ -98,7 +92,6 @@ class ServiceServer {
   /// The live result set as one segment image: from the store when one
   /// is attached (covers memory-evicted keys), else from the cache.
   std::string export_image(std::int64_t* records);
-  void reap_finished_locked() BFDN_REQUIRES(connections_mutex_);
 
   ServerOptions options_;
   // Declared before cache_: the cache holds a raw pointer into the
@@ -106,31 +99,13 @@ class ServiceServer {
   std::unique_ptr<ResultStore> store_;
   ResultCache cache_;
   Scheduler scheduler_;
-  ListenSocket listener_;
 
-  std::thread accept_thread_;
-  Mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_
-      BFDN_GUARDED_BY(connections_mutex_);
-
-  std::atomic<bool> draining_{false};
-  // drain() is serialized by drain_mutex_; the flag never needs to be
-  // read outside it, so it is a plain guarded bool rather than an
-  // atomic. Acquisition order is drain_mutex_ -> connections_mutex_
-  // (the lock-order analyzer tracks this edge).
-  Mutex drain_mutex_;
-  bool drained_ BFDN_GUARDED_BY(drain_mutex_) = false;
-
-  std::chrono::steady_clock::time_point started_at_;
-  std::atomic<std::int64_t> requests_total_{0};
-  std::atomic<std::int64_t> responses_ok_{0};
-  std::atomic<std::int64_t> responses_retry_{0};
-  std::atomic<std::int64_t> responses_error_{0};
-  std::atomic<std::int64_t> protocol_errors_{0};
   std::atomic<std::int64_t> ships_sent_{0};
   std::atomic<std::int64_t> ship_records_sent_{0};
   std::atomic<std::int64_t> fills_received_{0};
   std::atomic<std::int64_t> fill_records_imported_{0};
+  // Last: its connection threads call into every member above.
+  LineServer core_;
 };
 
 }  // namespace bfdn

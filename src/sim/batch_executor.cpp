@@ -63,10 +63,10 @@ std::vector<RunResult> BatchExecutor::run() {
   }
 
   // Partition the executing members: the interleaved fast-forward pass
-  // takes exactly the runs run_exploration would fast-forward; the
-  // rest (per-round hooks, fast_forward off, step-only algorithms)
-  // fall back to the solo engine, whose results are the definition of
-  // correct. Fallbacks run first, in member order, so their per-round
+  // takes exactly the runs run_exploration would fast-forward
+  // (sync_fast_forward_eligible); the rest (per-round hooks,
+  // fast_forward off, step-only algorithms) fall back to the solo
+  // engine, whose results are the definition of correct. Fallbacks run first, in member order, so their per-round
   // hooks observe rounds in a deterministic order.
   std::vector<std::unique_ptr<engine_internal::FastForwardRun>> ff(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -77,12 +77,8 @@ std::vector<RunResult> BatchExecutor::run() {
     }
     ++stats_.distinct_runs;
     const RunConfig& config = member.config;
-    const bool fast_forward =
-        config.fast_forward && config.trace == nullptr &&
-        config.observer == nullptr && !config.check_invariants &&
-        member.algorithm->transit_capability() ==
-            TransitCapability::kCommittedSegments;
-    if (!fast_forward) {
+    if (!engine_internal::sync_fast_forward_eligible(*member.algorithm,
+                                                     config)) {
       ++stats_.stepped_fallback;
       results[i] = run_exploration(tree_, *member.algorithm, config);
       continue;

@@ -997,15 +997,7 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
                : run_async_stepped(tree, algorithm, config, max_rounds);
   }
 
-  // Fast-forward needs committed-segment hints from the algorithm and
-  // is incompatible with anything that must see (or perturb) every
-  // round: per-round hooks and adversaries force the stepped loop.
-  const bool use_fast_forward =
-      config.fast_forward && config.schedule == nullptr &&
-      config.reactive == nullptr && config.trace == nullptr &&
-      config.observer == nullptr && !config.check_invariants &&
-      algorithm.transit_capability() == TransitCapability::kCommittedSegments;
-  if (use_fast_forward) {
+  if (engine_internal::sync_fast_forward_eligible(algorithm, config)) {
     return run_fast_forward(tree, algorithm, config, max_rounds);
   }
 

@@ -41,6 +41,20 @@ struct EngineAccess {
 
 namespace engine_internal {
 
+/// Whether a synchronous run takes the fast-forward loop. It needs
+/// committed-segment hints from the algorithm and is incompatible with
+/// anything that must see (or perturb) every round: per-round hooks and
+/// adversaries force the stepped loop. run_exploration dispatches on
+/// it, and BatchExecutor interleaves exactly the members it admits.
+inline bool sync_fast_forward_eligible(const Algorithm& algorithm,
+                                       const RunConfig& config) {
+  return config.fast_forward && config.schedule == nullptr &&
+         config.reactive == nullptr && config.trace == nullptr &&
+         config.observer == nullptr && !config.check_invariants &&
+         algorithm.transit_capability() ==
+             TransitCapability::kCommittedSegments;
+}
+
 /// Claim 4: all open nodes lie in the union of anchor subtrees.
 void check_open_node_coverage(const Tree& tree,
                               const ExplorationState& state,

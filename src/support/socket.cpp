@@ -72,11 +72,18 @@ bool Socket::send_all(const std::string& data) {
   return true;
 }
 
-std::optional<std::string> Socket::recv_line() {
+std::optional<std::string> Socket::recv_line(std::size_t max_bytes,
+                                             bool* too_long) {
+  if (too_long != nullptr) *too_long = false;
   for (;;) {
     // Only the bytes appended since the last scan can hold the newline,
     // so a long line costs linear, not quadratic, scanning.
     const std::size_t newline = buffer_.find('\n', scanned_);
+    if ((newline == std::string::npos ? buffer_.size() : newline) >
+        max_bytes) {
+      if (too_long != nullptr) *too_long = true;
+      break;
+    }
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
@@ -94,8 +101,8 @@ std::optional<std::string> Socket::recv_line() {
     if (n == 0) break;  // EOF
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
-  // EOF or error: a fragment without its '\n' is a truncated line, not
-  // a request, so it is dropped rather than returned.
+  // EOF, error or over-cap: a fragment without its '\n' is a truncated
+  // line, not a request, so it is dropped rather than returned.
   buffer_.clear();
   scanned_ = 0;
   return std::nullopt;
@@ -121,6 +128,10 @@ std::optional<std::string> Socket::recv_exact(std::size_t n) {
 
 void Socket::shutdown_read() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+}
+
+void Socket::shutdown_write() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
 void Socket::close() {

@@ -36,7 +36,13 @@ class Socket {
   /// its terminator. std::nullopt on EOF / connection error; a final
   /// unterminated fragment before EOF is dropped, never returned.
   /// Linear in the line length: each received byte is scanned once.
-  std::optional<std::string> recv_line();
+  ///
+  /// A line longer than `max_bytes` (terminator excluded) is not
+  /// returned either: reading stops once the cap is passed, *too_long
+  /// is set and std::nullopt returned, so an unterminated stream costs
+  /// at most `max_bytes` plus one receive chunk of memory.
+  std::optional<std::string> recv_line(
+      std::size_t max_bytes = std::string::npos, bool* too_long = nullptr);
 
   /// Reads exactly `n` raw bytes (consuming any bytes already buffered
   /// past the last returned line first — the segment-shipping protocol
@@ -47,6 +53,10 @@ class Socket {
 
   /// Half-closes the read side, waking a peer blocked in recv_line.
   void shutdown_read();
+
+  /// Half-closes the write side: the peer reads EOF after the bytes
+  /// already sent.
+  void shutdown_write();
 
   void close();
 
