@@ -20,7 +20,9 @@
 #             both daemons share) and support_test must report zero
 #             races
 #   fuzz      differential-oracle fuzzer, short fixed-seed burst
-#   bench     fast-forward vs stepped smoke
+#   bench     the five bench_* --smoke gates (hotpath, campaign, async,
+#             store, cluster); each JSON document is kept in
+#             build/bench-smoke/<bench>.json
 #   benchmark served-system benchmark self-test: BENCHMARK.json must
 #             name exactly the workloads and metrics bfdn_bench --list
 #             reports, then every workload at smoke size
@@ -162,20 +164,23 @@ echo "== batch fuzz smoke: every case batch-equivalence checked =="
 ./build/tools/bfdn_fuzz --budget-s=10 --seed=3 --jobs="$(nproc)" \
   --batch-p=1.0
 
-echo "== bench smoke: fast-forward vs stepped, one Release cell =="
-./build/bench/bench_hotpath --smoke > /dev/null
+# Each smoke's JSON document is kept in build/bench-smoke/<bench>.json.
+mkdir -p build/bench-smoke
 
-echo "== bench smoke: batched campaign >= 3x solo loop, one cell =="
-./build/bench/bench_campaign --smoke > /dev/null
+echo "== bench smoke: fast-forward vs stepped, one Release cell =="
+./build/bench/bench_hotpath --smoke > build/bench-smoke/bench_hotpath.json
+
+echo "== bench smoke: campaign coalescing >= 3x solo loop, one cell =="
+./build/bench/bench_campaign --smoke > build/bench-smoke/bench_campaign.json
 
 echo "== bench smoke: async scheduler zoo vs lockstep, one cell =="
-./build/bench/bench_async --smoke > /dev/null
+./build/bench/bench_async --smoke > build/bench-smoke/bench_async.json
 
 echo "== bench smoke: store warm-start, recovery, write-behind =="
-./build/bench/bench_store --smoke > /dev/null
+./build/bench/bench_store --smoke > build/bench-smoke/bench_store.json
 
 echo "== bench smoke: fleet scaling, hot-key tail, segment ship =="
-./build/bench/bench_cluster --smoke > /dev/null
+./build/bench/bench_cluster --smoke > build/bench-smoke/bench_cluster.json
 
 echo "== benchmark self-test: BENCHMARK.json <=> --list, then --smoke =="
 ./benchmark/run.sh --self-test > /dev/null

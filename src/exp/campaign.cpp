@@ -8,7 +8,6 @@
 #include "baselines/depth_next_only.h"
 #include "core/bfdn.h"
 #include "recursive/bfdn_ell.h"
-#include "sim/batch_executor.h"
 #include "sim/engine.h"
 #include "support/check.h"
 #include "support/thread_pool.h"
@@ -102,26 +101,19 @@ std::vector<CellResult> Campaign::run(std::int32_t threads) const {
     CellResult* out = &results[base];
     base += cells_per_tree;
     const Instance* inst = &instance;
-    // One task per tree: all of the tree's cells run through a single
-    // BatchExecutor pass, sharing the tree's arrays while each member
-    // keeps its own run state. Slot order within the block matches the
-    // add_member order (k-major, then algorithm), so results land in
-    // the same deterministic cell order as before.
+    // One task per tree: the tree's cells run one after another, each
+    // with its own algorithm and run state, and write into the block's
+    // slots in k-major, then algorithm, order.
     pool.submit([this, out, inst] {
       const Tree& tree = inst->tree;
-      BatchExecutor batch(tree);
+      std::size_t slot = 0;
       for (const std::int32_t k : team_sizes_) {
         for (const AlgorithmKind kind : algorithms_) {
           RunConfig config;
           config.num_robots = k;
-          batch.add_member(make_algorithm(kind, tree, k), config);
-        }
-      }
-      const std::vector<RunResult> runs = batch.run();
-      std::size_t slot = 0;
-      for (const std::int32_t k : team_sizes_) {
-        for (const AlgorithmKind kind : algorithms_) {
-          const RunResult& run_result = runs[slot];
+          auto algorithm = make_algorithm(kind, tree, k);
+          const RunResult run_result =
+              run_exploration(tree, *algorithm, config);
           CellResult* cell = out + slot;
           ++slot;
           cell->tree_name = inst->name;

@@ -3,12 +3,10 @@
 // that sweep many configurations (competitive-ratio estimates, winner
 // maps) are built on this.
 //
-// Execution: each tree's cells run through one sim/BatchExecutor — a
-// single interleaved pass over the shared tree instead of one cold
-// engine invocation per cell — and trees shard across the thread pool.
-// Every cell still builds its own algorithm and run state and writes
-// into its own pre-allocated result slot; results are bit-identical to
-// solo run_exploration calls (the batch-equivalence oracle pins this).
+// Execution: trees shard across the thread pool, and each tree's cells
+// run one after another through run_exploration. Every cell builds its
+// own algorithm and run state and writes into its own pre-allocated
+// result slot, so results do not depend on the thread count.
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,10 @@
 // a support/thread_pool. Within a group, the jobs that describe
 // synchronous complete-communication runs (no break-down schedule, no
 // async scheduler) execute through one sim/BatchExecutor pass —
-// interleaved over the shared tree, seed-blind twins coalesced — while
-// schedule/async jobs fan out to the pool solo. Determinism: each job
-// builds its own algorithm and RNG state from its own spec, so
-// grouping, pool scheduling and batch interleaving cannot change any
+// seed-blind twins coalesced, each distinct run executed in turn —
+// while schedule/async jobs fan out to the pool solo. Determinism:
+// each job builds its own algorithm and RNG state from its own spec,
+// so grouping, pool scheduling and coalescing cannot change any
 // job's result — a served run is bit-identical to the same run through
 // bfdn_cli (tests/service_test.cpp pins this, and the batch pass is
 // additionally pinned by OracleCheck::kBatchEquivalence).

@@ -1,31 +1,14 @@
-// Vectorized multi-run campaign executor: runs R explorations of one
-// shared tree (seed sweeps, k sweeps, option sweeps) in a single
-// interleaved pass instead of R independent engine invocations.
+// Multi-run campaign executor: runs R explorations of one shared tree
+// (seed sweeps, k sweeps, option sweeps) with the runs that provably
+// repeat each other executed once.
 //
-// Structure of arrays: every member run owns its per-run state
-// (ExplorationState position/clock/frontier arrays, wake calendar,
-// RunResult) while the tree's CSR arrays — the large read-only data —
-// are shared by all of them. run() advances the member whose next
-// selection event is earliest (ties broken by member index), so all
-// runs sweep the tree's depth range roughly in lockstep and the tree
-// data a run touches is the data its neighbors just touched — one
-// cache-friendly pass over the shared structure per exploration phase
-// rather than R cold passes.
-//
-// Bit-identity is structural, not approximated: each member executes
-// through engine_internal::FastForwardRun, the exact event loop
-// run_exploration uses, and a member's observable behavior depends
-// only on its own state — so any interleaving reproduces the solo
-// engine run for run (pinned by OracleCheck::kBatchEquivalence and
-// tests/batch_executor_test.cpp).
-//
-// Fallbacks mirror run_exploration's: a member whose config forces the
-// stepped loop (observer / trace / check_invariants / fast_forward off)
-// or whose algorithm is step-only runs through run_exploration inside
-// run(), in member order, before the interleaved pass. Members with a
-// break-down schedule, reactive adversary or async scheduler are
-// rejected at add_member — those execution models are per-run by
-// construction and belong to run_exploration.
+// run() executes each distinct member through run_exploration, one
+// after another in add order, so a member's result is the solo
+// engine's by construction (pinned by OracleCheck::kBatchEquivalence
+// and tests/batch_executor_test.cpp). Members with a break-down
+// schedule, reactive adversary or async scheduler are rejected at
+// add_member: the batch contract, and the oracle that pins it, cover
+// the synchronous complete-communication model only.
 //
 // Coalescing: members whose inputs provably describe the same run
 // (e.g. a BFDN seed sweep under any non-random reanchor policy — the
@@ -57,8 +40,8 @@ class BatchExecutor {
   /// Adds one member run and returns its index (results come back in
   /// add order). The config must describe a synchronous
   /// complete-communication run: schedule, reactive and async members
-  /// are rejected (BFDN_REQUIRE) — mixing per-run adversaries into a
-  /// shared batch pass is not supported, use run_exploration.
+  /// are rejected (BFDN_REQUIRE) — per-run adversaries stay out of
+  /// batches, use run_exploration.
   /// `coalesce_key`: members sharing a non-empty key are promised by
   /// the caller to be semantically identical runs; only the first
   /// executes and the others receive copies of its result. An empty
@@ -78,10 +61,6 @@ class BatchExecutor {
     std::int64_t members = 0;        // add_member calls
     std::int64_t distinct_runs = 0;  // actually executed
     std::int64_t coalesced = 0;      // members served by a twin's run
-    std::int64_t interleaved = 0;    // distinct runs in the batched pass
-    std::int64_t stepped_fallback = 0;  // distinct runs via the solo
-                                        // engine (per-round hooks or a
-                                        // step-only algorithm)
   };
   /// Populated by run().
   const Stats& stats() const { return stats_; }

@@ -8,19 +8,35 @@
 #include <limits>
 #include <utility>
 
-#include "sim/engine_internal.h"
 #include "support/check.h"
 #include "support/strings.h"
 
 namespace bfdn {
 
-using engine_internal::apply_pending_move;
-using engine_internal::apply_walk;
-using engine_internal::apply_walk_step;
-using engine_internal::check_open_node_coverage;
-using engine_internal::flush_reanchor_counts;
-using engine_internal::init_depth_accounting;
-using engine_internal::walk_path;
+// Engine-private access to MoveSelector internals (friend of
+// MoveSelector; see engine.h).
+struct EngineAccess {
+  static const std::vector<MoveSelector::Pending>& pending(
+      const MoveSelector& sel) {
+    return sel.pending_;
+  }
+  static const std::vector<std::uint64_t>& reanchors(
+      const MoveSelector& sel) {
+    return sel.reanchor_counts_;
+  }
+  static const std::vector<std::uint64_t>& reanchor_switches(
+      const MoveSelector& sel) {
+    return sel.reanchor_switch_counts_;
+  }
+  static const std::vector<std::int32_t>& reanchor_depths(
+      const MoveSelector& sel) {
+    return sel.reanchor_depths_;
+  }
+  static const std::vector<std::pair<NodeId, NodeId>>& reservations(
+      const MoveSelector& sel) {
+    return sel.reserved_this_round_;
+  }
+};
 
 namespace {
 
@@ -192,11 +208,10 @@ void Algorithm::select_moves_subset(const ExplorationView&, MoveSelector&,
              "select_moves_subset called on a step-only algorithm");
 }
 
-// The shared per-move/per-round helpers below are declared in
-// sim/engine_internal.h so batch_executor.cpp replays the exact same
-// semantics; their definitions stay here next to the loops they mirror.
-namespace engine_internal {
+// Per-move/per-round helpers shared by the engine loops below.
+namespace {
 
+/// Claim 4: all open nodes lie in the union of anchor subtrees.
 void check_open_node_coverage(const Tree& tree,
                               const ExplorationState& state,
                               const std::vector<NodeId>& anchors) {
@@ -216,6 +231,7 @@ void check_open_node_coverage(const Tree& tree,
   }
 }
 
+/// Shared result/accounting setup for every engine mode.
 void init_depth_accounting(const Tree& tree, RunResult& result,
                            std::vector<std::int64_t>& unexplored_at_depth) {
   unexplored_at_depth.assign(static_cast<std::size_t>(tree.depth()) + 1, 0);
@@ -233,6 +249,8 @@ void init_depth_accounting(const Tree& tree, RunResult& result,
   }
 }
 
+/// Flushes the selector's per-depth reanchor counters into the result
+/// histograms (identical in every engine mode).
 void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
   const std::vector<std::uint64_t>& reanchors =
       EngineAccess::reanchors(selector);
@@ -251,6 +269,13 @@ void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
   }
 }
 
+/// The MOVE step for one robot's selected move, identical in every
+/// engine mode: position update, first-traversal flags, dangling commit
+/// with depth-completion accounting, per-robot move counter. Returns
+/// true iff the robot actually moved (i.e. not stay/none; the caller
+/// does its own idle accounting). `commit_round` is the round recorded
+/// in depth_completed_round when this move commits the last unexplored
+/// node of a depth.
 bool apply_pending_move(const Tree& tree, ExplorationState& state,
                         std::int32_t robot, const MoveSelector::Pending& p,
                         std::vector<std::int64_t>& unexplored_at_depth,
@@ -289,6 +314,16 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
   return false;  // unreachable
 }
 
+/// A whole committed walk (TransitPlan::kWalk) in one call: validates
+/// it, records its traversals and moves the robot to plan.target. A
+/// climb must end at the ancestor exactly plan.steps levels up; its
+/// upward first-traversal flags are set through
+/// ExplorationState::record_climb. A descent must end at an explored
+/// node exactly plan.steps levels down; the explored set is
+/// ancestor-closed, so every step is an explored down-move, and it
+/// sets no flag (every explored non-root node's down-edge was
+/// traversed when it was discovered). Near-O(1) amortized; used by the
+/// fast-forward engine, which executes walks eagerly.
 void apply_walk(const Tree& tree, ExplorationState& state,
                 std::int32_t robot, const TransitPlan& plan,
                 RunResult& result) {
@@ -308,6 +343,10 @@ void apply_walk(const Tree& tree, ExplorationState& state,
   result.robot_moves[static_cast<std::size_t>(robot)] += plan.steps;
 }
 
+/// The nodes a committed walk from `from` visits, in order (excluding
+/// `from`), written into `out`. O(plan.steps); for the one case that
+/// steps a walk one node at a time: the round limit cutting a walk
+/// short in either fast-forward engine (sync or async).
 void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
                std::vector<NodeId>& out) {
   out.clear();
@@ -328,6 +367,8 @@ void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
              "committed walk length does not match plan.steps");
 }
 
+/// One step of a materialized committed walk: validates the step,
+/// records the traversal and advances the robot.
 void apply_walk_step(const Tree& tree, ExplorationState& state,
                      std::int32_t robot, NodeId next, RunResult& result) {
   const NodeId cur = state.robot_pos(robot);
@@ -343,7 +384,7 @@ void apply_walk_step(const Tree& tree, ExplorationState& state,
   ++result.robot_moves[static_cast<std::size_t>(robot)];
 }
 
-// Event-driven fast-forward execution (engine_internal::FastForwardRun).
+// Event-driven fast-forward execution (run_fast_forward).
 // Robots alternate between "event rounds", where they run the
 // algorithm's real selection logic, and committed walks
 // (TransitPlan::kWalk), which the engine executes in one apply_walk
@@ -358,192 +399,159 @@ void apply_walk_step(const Tree& tree, ExplorationState& state,
 // interleaving it with the other robots' rounds — the stepped engine
 // would produce exactly the same moves. The round counter advances analytically over
 // the gaps between events; every accounting rule below mirrors one
-// line of the stepped loop (see docs/MODEL.md). The loop is cut at its
-// event boundaries into an advance() method so the batch executor can
-// interleave several runs; run_exploration drives one context straight
-// through, which is the exact former single-run loop.
-FastForwardRun::FastForwardRun(const Tree& tree, Algorithm& algorithm,
-                               std::int32_t k, std::int64_t max_rounds)
-    : tree_(tree),
-      algorithm_(algorithm),
-      k_(k),
-      max_rounds_(max_rounds),
-      state_(tree, k),
-      movable_(static_cast<std::size_t>(k), 1),
-      view_(state_, movable_),
-      selector_(state_, movable_),
-      wake_(static_cast<std::size_t>(k), 1) {
-  result_.robot_moves.assign(static_cast<std::size_t>(k), 0);
-  init_depth_accounting(tree, result_, unexplored_at_depth_);
-  algorithm_.begin(view_);
-  woken_.reserve(static_cast<std::size_t>(k));
-  next_event_round_ = earliest_wake();
-}
+// line of the stepped loop (see docs/MODEL.md).
+RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
+                           std::int32_t k, std::int64_t max_rounds) {
+  ExplorationState state(tree, k);
+  RunResult result;
+  result.robot_moves.assign(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> unexplored_at_depth;
+  init_depth_accounting(tree, result, unexplored_at_depth);
 
-std::int64_t FastForwardRun::earliest_wake() const {
-  std::int64_t event_round = max_rounds_ + 1;
-  for (const std::int64_t wake : wake_) {
-    event_round = std::min(event_round, wake);
-  }
-  return event_round;
-}
+  const std::vector<char> movable(static_cast<std::size_t>(k), 1);
+  ExplorationView view(state, movable);
+  algorithm.begin(view);
+  MoveSelector selector(state, movable);
 
-bool FastForwardRun::advance() {
-  if (done_) return false;
-  const std::int64_t event_round = next_event_round_;
+  // wake[i]: next round in which robot i runs selection; parked robots
+  // (kStayForever, or walks capped by the round limit) get the sentinel
+  // max_rounds + 1 and never wake. All robots start awake at round 1.
+  std::vector<std::int64_t> wake(static_cast<std::size_t>(k), 1);
+  // Robots parked by kStayForever (they idle in every remaining round;
+  // a capped walker moves in every remaining round instead).
+  std::int64_t num_parked = 0;
+  std::vector<std::int32_t> woken;
+  woken.reserve(static_cast<std::size_t>(k));
+  // Nodes of a walk the round limit cuts short (reused across events).
+  std::vector<NodeId> capped_walk;
 
-  // Gap rounds (result.rounds, event_round): every non-parked robot is
-  // mid-walk and moves in each of them, so they all count; parked
-  // robots stay, which is exactly the stepped loop's idle accounting.
-  const std::int64_t gap_end = std::min(event_round - 1, max_rounds_);
-  if (gap_end > result_.rounds) {
-    const std::int64_t gap = gap_end - result_.rounds;
-    if (num_parked_ > 0) {
-      result_.rounds_with_idle += gap;
-      result_.idle_robot_rounds += gap * num_parked_;
+  for (;;) {
+    // The next event: the earliest wake over all robots (max_rounds + 1
+    // when every robot is parked or capped).
+    std::int64_t event_round = max_rounds + 1;
+    for (const std::int64_t w : wake) event_round = std::min(event_round, w);
+
+    // Gap rounds (result.rounds, event_round): every non-parked robot is
+    // mid-walk and moves in each of them, so they all count; parked
+    // robots stay, which is exactly the stepped loop's idle accounting.
+    const std::int64_t gap_end = std::min(event_round - 1, max_rounds);
+    if (gap_end > result.rounds) {
+      const std::int64_t gap = gap_end - result.rounds;
+      if (num_parked > 0) {
+        result.rounds_with_idle += gap;
+        result.idle_robot_rounds += gap * num_parked;
+      }
+      result.rounds = gap_end;
     }
-    result_.rounds = gap_end;
-  }
-  if (event_round > max_rounds_) {
     // Either all robots are parked forever (stepped: the next round is
-    // all-stay or past the limit) or every remaining walk was capped
-    // at the limit; hit_round_limit is derived in finish().
-    done_ = true;
-    return false;
-  }
+    // all-stay or past the limit) or every remaining walk was capped at
+    // the limit; hit_round_limit is derived after the loop.
+    if (event_round > max_rounds) break;
+    if (algorithm.finished(view)) break;
 
-  if (algorithm_.finished(view_)) {
-    done_ = true;
-    return false;
-  }
-
-  // Branch-free compaction of the robots waking now (the buffer keeps
-  // capacity k, so the resizes never allocate).
-  woken_.resize(static_cast<std::size_t>(k_));
-  std::size_t num_woken = 0;
-  for (std::int32_t i = 0; i < k_; ++i) {
-    woken_[num_woken] = i;
-    num_woken += static_cast<std::size_t>(
-        wake_[static_cast<std::size_t>(i)] == event_round);
-  }
-  woken_.resize(num_woken);
-
-  // Selection, restricted to the woken robots; everyone else is
-  // mid-walk (their move this round was already executed) or parked.
-  state_.set_clock_base(event_round);
-  selector_.reset();
-  algorithm_.select_moves_subset(view_, selector_, woken_);
-  const std::vector<MoveSelector::Pending>& pending =
-      EngineAccess::pending(selector_);
-
-  bool any_move = false;
-  for (std::int32_t i : woken_) {
-    const auto kind = pending[static_cast<std::size_t>(i)].kind;
-    if (kind == MoveSelector::Kind::kUp ||
-        kind == MoveSelector::Kind::kDownExplored ||
-        kind == MoveSelector::Kind::kDownDangling) {
-      any_move = true;
-      break;
+    // Branch-free compaction of the robots waking now (the buffer keeps
+    // capacity k, so the resizes never allocate).
+    woken.resize(static_cast<std::size_t>(k));
+    std::size_t num_woken = 0;
+    for (std::int32_t i = 0; i < k; ++i) {
+      woken[num_woken] = i;
+      num_woken += static_cast<std::size_t>(
+          wake[static_cast<std::size_t>(i)] == event_round);
     }
-  }
-  if (!any_move) {
-    // A mid-walk robot (wake beyond this round) still moves this
-    // round; only if nobody moves is this Algorithm 1's terminal
-    // all-stay round, which is not counted. Every non-parked robot
-    // wakes at event_round or later, and the woken ones wake exactly
-    // then, so the others are the walkers.
-    const auto walkers = static_cast<std::int64_t>(k_) - num_parked_ -
-                         static_cast<std::int64_t>(woken_.size());
-    if (walkers == 0) {
-      done_ = true;
-      return false;
-    }
-  }
+    woken.resize(num_woken);
 
-  // Synchronous MOVE for the woken robots (mid-walk robots' moves for
-  // this round were executed when their walk was planned).
-  std::int64_t idle_movable = 0;
-  for (std::int32_t i : woken_) {
-    if (!apply_pending_move(tree_, state_, i,
-                            pending[static_cast<std::size_t>(i)],
-                            unexplored_at_depth_, result_, event_round)) {
-      ++idle_movable;
-    }
-  }
-  result_.rounds = event_round;
-  idle_movable += num_parked_;
-  if (idle_movable > 0) {
-    ++result_.rounds_with_idle;
-    result_.idle_robot_rounds += idle_movable;
-  }
-  flush_reanchor_counts(selector_, result_);
+    // Selection, restricted to the woken robots; everyone else is
+    // mid-walk (their move this round was already executed) or parked.
+    state.set_clock_base(event_round);
+    selector.reset();
+    algorithm.select_moves_subset(view, selector, woken);
+    const std::vector<MoveSelector::Pending>& pending =
+        EngineAccess::pending(selector);
 
-  // Re-plan every woken robot from the post-MOVE state and execute
-  // committed walks immediately; the walk's steps occupy rounds
-  // event_round + 1 .. event_round + steps.
-  for (std::int32_t i : woken_) {
-    plan_ = TransitPlan{};
-    algorithm_.plan_transit(view_, i, plan_);
-    switch (plan_.kind) {
-      case TransitPlan::Kind::kStayForever:
-        wake_[static_cast<std::size_t>(i)] = max_rounds_ + 1;
-        ++num_parked_;
-        break;
-      case TransitPlan::Kind::kEvent:
-        wake_[static_cast<std::size_t>(i)] = event_round + 1;
-        break;
-      case TransitPlan::Kind::kWalk: {
-        const std::int64_t budget = max_rounds_ - event_round;
-        if (plan_.steps <= budget) {
-          apply_walk(tree_, state_, i, plan_, result_);
-          wake_[static_cast<std::size_t>(i)] = event_round + plan_.steps + 1;
-          break;
-        }
-        // A limit-capped walk: its first `budget` steps fit before the
-        // horizon, and the robot is parked just past it.
-        walk_path(tree_, state_.robot_pos(i), plan_, capped_walk_);
-        for (std::int64_t s = 0; s < budget; ++s) {
-          apply_walk_step(tree_, state_, i,
-                          capped_walk_[static_cast<std::size_t>(s)], result_);
-        }
-        wake_[static_cast<std::size_t>(i)] = max_rounds_ + 1;
+    bool any_move = false;
+    for (std::int32_t i : woken) {
+      const auto kind = pending[static_cast<std::size_t>(i)].kind;
+      if (kind == MoveSelector::Kind::kUp ||
+          kind == MoveSelector::Kind::kDownExplored ||
+          kind == MoveSelector::Kind::kDownDangling) {
+        any_move = true;
         break;
       }
     }
-  }
-  next_event_round_ = earliest_wake();
-  return true;
-}
+    if (!any_move) {
+      // A mid-walk robot (wake beyond this round) still moves this
+      // round; only if nobody moves is this Algorithm 1's terminal
+      // all-stay round, which is not counted. Every non-parked robot
+      // wakes at event_round or later, and the woken ones wake exactly
+      // then, so the others are the walkers.
+      const auto walkers = static_cast<std::int64_t>(k) - num_parked -
+                           static_cast<std::int64_t>(woken.size());
+      if (walkers == 0) break;
+    }
 
-RunResult FastForwardRun::finish() {
-  BFDN_REQUIRE(done_, "finish() before the run ended");
-  BFDN_REQUIRE(!finished_, "finish() called twice");
-  finished_ = true;
+    // Synchronous MOVE for the woken robots (mid-walk robots' moves for
+    // this round were executed when their walk was planned).
+    std::int64_t idle_movable = 0;
+    for (std::int32_t i : woken) {
+      if (!apply_pending_move(tree, state, i,
+                              pending[static_cast<std::size_t>(i)],
+                              unexplored_at_depth, result, event_round)) {
+        ++idle_movable;
+      }
+    }
+    result.rounds = event_round;
+    idle_movable += num_parked;
+    if (idle_movable > 0) {
+      ++result.rounds_with_idle;
+      result.idle_robot_rounds += idle_movable;
+    }
+    flush_reanchor_counts(selector, result);
+
+    // Re-plan every woken robot from the post-MOVE state and execute
+    // committed walks immediately; the walk's steps occupy rounds
+    // event_round + 1 .. event_round + steps.
+    for (std::int32_t i : woken) {
+      TransitPlan plan;
+      algorithm.plan_transit(view, i, plan);
+      switch (plan.kind) {
+        case TransitPlan::Kind::kStayForever:
+          wake[static_cast<std::size_t>(i)] = max_rounds + 1;
+          ++num_parked;
+          break;
+        case TransitPlan::Kind::kEvent:
+          wake[static_cast<std::size_t>(i)] = event_round + 1;
+          break;
+        case TransitPlan::Kind::kWalk: {
+          const std::int64_t budget = max_rounds - event_round;
+          if (plan.steps <= budget) {
+            apply_walk(tree, state, i, plan, result);
+            wake[static_cast<std::size_t>(i)] = event_round + plan.steps + 1;
+            break;
+          }
+          // A limit-capped walk: its first `budget` steps fit before the
+          // horizon, and the robot is parked just past it.
+          walk_path(tree, state.robot_pos(i), plan, capped_walk);
+          for (std::int64_t s = 0; s < budget; ++s) {
+            apply_walk_step(tree, state, i,
+                            capped_walk[static_cast<std::size_t>(s)], result);
+          }
+          wake[static_cast<std::size_t>(i)] = max_rounds + 1;
+          break;
+        }
+      }
+    }
+  }
+
   // The stepped loop flags the limit whenever it executes max_rounds
   // rounds without an earlier break (its limit check precedes the
   // round's all-stay test).
-  if (result_.rounds >= max_rounds_) result_.hit_round_limit = true;
+  if (result.rounds >= max_rounds) result.hit_round_limit = true;
   // All clocks tick together: every robot is activated (mid-walk,
   // parked-stay or selecting) in every counted round, exactly like the
   // stepped loop.
-  result_.total_activations =
-      static_cast<std::int64_t>(k_) * result_.rounds;
-  finalize_result(tree_, state_, result_);
-  return std::move(result_);
-}
-
-}  // namespace engine_internal
-
-namespace {
-
-RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
-                           const RunConfig& config,
-                           std::int64_t max_rounds) {
-  engine_internal::FastForwardRun run(tree, algorithm, config.num_robots,
-                                      max_rounds);
-  while (run.advance()) {
-  }
-  return run.finish();
+  result.total_activations = static_cast<std::int64_t>(k) * result.rounds;
+  finalize_result(tree, state, result);
+  return result;
 }
 
 /// Per-robot-clock execution (RunConfig::async). Time is a virtual
@@ -997,8 +1005,16 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
                : run_async_stepped(tree, algorithm, config, max_rounds);
   }
 
-  if (engine_internal::sync_fast_forward_eligible(algorithm, config)) {
-    return run_fast_forward(tree, algorithm, config, max_rounds);
+  // The fast-forward loop needs committed-segment hints from the
+  // algorithm and is incompatible with anything that must see (or
+  // perturb) every round: per-round hooks and adversaries force the
+  // stepped loop.
+  if (config.fast_forward && config.schedule == nullptr &&
+      config.reactive == nullptr && config.trace == nullptr &&
+      config.observer == nullptr && !config.check_invariants &&
+      algorithm.transit_capability() ==
+          TransitCapability::kCommittedSegments) {
+    return run_fast_forward(tree, algorithm, config.num_robots, max_rounds);
   }
 
   ExplorationState state(tree, config.num_robots);

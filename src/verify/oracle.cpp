@@ -459,10 +459,11 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   if (breakdown) return report;
 
   // --- batched campaign members == solo runs (differential) -----------
-  // A BatchExecutor interleaves its member runs over the shared tree;
-  // the contract is that every member — fast-forwarded, coalesced as a
-  // seed-blind twin, or riding the stepped fallback — is bit-identical
-  // to running it alone through run_exploration. Member i sweeps the
+  // A BatchExecutor runs its distinct members one after another and
+  // copies coalesced twins; the contract is that every member —
+  // fast-forwarded, coalesced as a seed-blind twin, or on the stepped
+  // loop — is bit-identical to running it alone through
+  // run_exploration. Member i sweeps the
   // axes a campaign sweeps: the algorithm seed always, and (odd
   // members) the random reanchor policy, the one policy that actually
   // consumes the seed. Even members keep the configured policy and are
@@ -509,8 +510,8 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
       fail(OracleCheck::kEngineInvariant, error.what());
     }
 
-    // Per-round hash sequence: a member carrying an observer rides the
-    // executor's documented stepped fallback; its hash stream and its
+    // Per-round hash sequence: a member carrying an observer runs the
+    // stepped loop, as it would solo; its hash stream and its
     // RunResult must reproduce the primary stepped run exactly.
     if (!report.failed(OracleCheck::kBatchEquivalence)) {
       try {

@@ -1,8 +1,8 @@
 // Differential tests for sim/BatchExecutor: every batched member must
 // be bit-identical to running it alone through run_exploration — the
 // executor's one contract — across algorithm kinds, team sizes, seeds,
-// mid-batch round caps, coalesced seed-blind twins and the stepped
-// fallback, plus the misuse guards (schedule/reactive/async members,
+// mid-batch round caps, coalesced seed-blind twins and members with
+// per-round hooks, plus the misuse guards (schedule/reactive/async members,
 // reuse after run()).
 #include <gtest/gtest.h>
 
@@ -150,11 +150,7 @@ TEST(BatchExecutorTest, GoldenGridBatchedEqualsSolo) {
     const auto& stats = batch.stats();
     EXPECT_EQ(stats.members, static_cast<std::int64_t>(labels.size()));
     EXPECT_EQ(stats.distinct_runs, stats.members);  // no coalesce keys
-    EXPECT_EQ(stats.interleaved + stats.stepped_fallback,
-              stats.distinct_runs);
-    // The BFDN members are fast-forwardable, so the interleaved pass is
-    // genuinely exercised.
-    EXPECT_GT(stats.interleaved, 0) << tree_name;
+    EXPECT_EQ(stats.members, stats.distinct_runs + stats.coalesced);
   }
 }
 
@@ -170,7 +166,7 @@ TEST(BatchExecutorTest, WidthOneEqualsSolo) {
   BfdnAlgorithm solo(6);
   expect_same_result(results[0], run_exploration(tree, solo, config),
                      "width-1");
-  EXPECT_EQ(batch.stats().interleaved, 1);
+  EXPECT_EQ(batch.stats().distinct_runs, 1);
 }
 
 // Round caps are per member: a batch mixing members that hit their
@@ -200,8 +196,8 @@ TEST(BatchExecutorTest, MidBatchRoundCapParity) {
 }
 
 // Deep trees shaped like the served miss-deep load (n=3000): long
-// committed walks interleaved across members, with round caps that cut
-// some of them mid-walk.
+// committed walks in every member, with round caps that cut some of
+// them mid-walk.
 TEST(BatchExecutorTest, DeepTreesBatchedEqualsSolo) {
   Rng rng(17);
   std::vector<std::pair<std::string, Tree>> trees;
@@ -243,16 +239,15 @@ TEST(BatchExecutorTest, DeepTreesBatchedEqualsSolo) {
                              std::to_string(cell.k) + "/cap=" +
                              std::to_string(cell.max_rounds));
     }
-    EXPECT_EQ(batch.stats().interleaved,
+    EXPECT_EQ(batch.stats().distinct_runs,
               static_cast<std::int64_t>(cells.size()));
     EXPECT_TRUE(results[6].hit_round_limit) << tree_name;
     EXPECT_TRUE(results[7].hit_round_limit) << tree_name;
   }
 }
 
-// Results come back in add_member order no matter how the interleaving
-// schedules the runs; reversing the add order permutes the results the
-// same way.
+// Results come back in add_member order; reversing the add order
+// permutes the results the same way.
 TEST(BatchExecutorTest, DeterministicMemberOrdering) {
   const Tree tree = make_comb(25, 5);
   const std::vector<std::int32_t> team_sizes = {5, 1, 3, 8, 2};
@@ -305,10 +300,11 @@ TEST(BatchExecutorTest, CoalescedSeedSweepMatchesSoloRuns) {
   EXPECT_EQ(stats.members, 6);
   EXPECT_EQ(stats.distinct_runs, 1);
   EXPECT_EQ(stats.coalesced, 5);
+  EXPECT_EQ(stats.members, stats.distinct_runs + stats.coalesced);
 }
 
-// A member carrying per-round hooks rides the documented stepped
-// fallback: its observer sees the same per-round hash sequence a solo
+// A member carrying per-round hooks runs the stepped loop, as it would
+// solo: its observer sees the same per-round hash sequence a solo
 // stepped run produces.
 TEST(BatchExecutorTest, ObserverMemberRidesSteppedFallback) {
   class HashObserver : public RoundObserver {
@@ -339,17 +335,16 @@ TEST(BatchExecutorTest, ObserverMemberRidesSteppedFallback) {
   hooked_config.num_robots = 3;
   hooked_config.observer = &batched_observer;
   batch.add_member(std::make_unique<BfdnAlgorithm>(3), hooked_config);
-  // A hook-free sibling keeps the interleaved pass busy alongside.
+  // A hook-free sibling fast-forwards in the same batch.
   RunConfig plain_config;
   plain_config.num_robots = 3;
   batch.add_member(std::make_unique<BfdnAlgorithm>(3), plain_config);
 
   const std::vector<RunResult> results = batch.run();
   expect_same_result(results[0], solo_result, "observed member");
-  expect_same_result(results[1], solo_result, "interleaved sibling");
+  expect_same_result(results[1], solo_result, "fast-forwarded sibling");
   EXPECT_EQ(batched_hashes, solo_hashes);
-  EXPECT_EQ(batch.stats().stepped_fallback, 1);
-  EXPECT_EQ(batch.stats().interleaved, 1);
+  EXPECT_EQ(batch.stats().distinct_runs, 2);
 }
 
 TEST(BatchExecutorTest, RejectsScheduleReactiveAndAsyncMembers) {
