@@ -11,6 +11,10 @@
 // the quantity under test. Output is one JSON document on stdout so the
 // numbers land in the bench trajectory (BENCH_fastforward.json) and
 // regressions are visible in review.
+//
+// A report-only "protocol" block times the served cache-hit path's own
+// work (which runs no engine code) on the hit-storm request shape:
+// ns per parse_request, request_fingerprint and ok_response.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -18,7 +22,9 @@
 
 #include "core/bfdn.h"
 #include "graph/generators.h"
+#include "service/protocol.h"
 #include "sim/engine.h"
+#include "support/check.h"
 #include "support/cli.h"
 #include "support/json.h"
 
@@ -55,6 +61,62 @@ Timed time_cell(const Config& config, bool fast_forward,
     best.result = std::move(result);
   }
   return best;
+}
+
+/// A vocabulary line of the served benchmark's hit-storm workload.
+constexpr const char* kHitLine =
+    R"({"id":"v0","type":"run","family":"caterpillar","nodes":2000,)"
+    R"("depth":40,"arms":3,"seed":96160665213566,"algo":"bfdn","k":8,)"
+    R"("policy":"least-loaded","algo_seed":1,"depth_cap":-1,)"
+    R"("schedule":"none"})";
+
+/// Best-of-`repeat` ns per call of `op` over `iterations` calls.
+template <typename Op>
+double ns_per_op(std::int64_t iterations, std::int64_t repeat, Op&& op) {
+  double best = 0;
+  for (std::int64_t rep = 0; rep < repeat; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::int64_t i = 0; i < iterations; ++i) op();
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count() /
+        static_cast<double>(iterations);
+    if (rep == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+std::string protocol_cell(std::int64_t iterations, std::int64_t repeat) {
+  const std::string line = kHitLine;
+  ServiceRequest request;
+  std::string error;
+  BFDN_REQUIRE(parse_request(line, request, &error), error);
+  // A real result object, so the envelope copies realistic bytes.
+  const std::string result = execute_run(request, request.recipe.build());
+  const std::uint64_t key = request_fingerprint(request);
+
+  std::uint64_t sink = 0;  // keeps every call observable
+  const double parse_ns = ns_per_op(iterations, repeat, [&] {
+    ServiceRequest parsed;
+    sink += parse_request(line, parsed, &error) ? 1U : 0U;
+  });
+  const double fingerprint_ns = ns_per_op(
+      iterations, repeat, [&] { sink += request_fingerprint(request); });
+  const double envelope_ns = ns_per_op(iterations, repeat, [&] {
+    sink += ok_response(request.id, true, key, result).size();
+  });
+  BFDN_CHECK(sink != 0, "protocol ops were not run");
+
+  JsonWriter cell;
+  cell.begin_object();
+  cell.kv("line_bytes", static_cast<std::int64_t>(line.size()));
+  cell.kv("result_bytes", static_cast<std::int64_t>(result.size()));
+  cell.kv("iterations", iterations);
+  cell.kv("parse_ns", parse_ns, 1);
+  cell.kv("fingerprint_ns", fingerprint_ns, 1);
+  cell.kv("envelope_ns", envelope_ns, 1);
+  cell.end_object();
+  return cell.str();
 }
 
 int run(int argc, const char* const* argv) {
@@ -150,7 +212,9 @@ int run(int argc, const char* const* argv) {
     first = false;
     std::fflush(stdout);
   }
-  std::printf("\n  ]\n}\n");
+  std::printf("\n  ],\n  \"protocol\": %s\n}\n",
+              protocol_cell(cli.get_bool("smoke") ? 20000 : 200000, repeat)
+                  .c_str());
   return status;
 }
 

@@ -19,19 +19,29 @@ BfdnAlgorithm::BfdnAlgorithm(std::int32_t num_robots, BfdnOptions options)
 }
 
 std::string BfdnAlgorithm::name() const {
+  std::string out;
+  name_of(options_, out);
+  return out;
+}
+
+void BfdnAlgorithm::name_of(const BfdnOptions& options, std::string& out) {
   const char* policy = "least-loaded";
-  switch (options_.policy) {
+  switch (options.policy) {
     case ReanchorPolicy::kLeastLoaded: policy = "least-loaded"; break;
     case ReanchorPolicy::kRandom: policy = "random"; break;
     case ReanchorPolicy::kFirstFit: policy = "first-fit"; break;
     case ReanchorPolicy::kMostLoaded: policy = "most-loaded"; break;
   }
-  const char* shortcut = options_.shortcut_reanchor ? "+shortcut" : "";
-  if (options_.depth_cap >= 0) {
-    return str_format("BFDN_1(d=%d, %s%s)", options_.depth_cap, policy,
-                      shortcut);
+  if (options.depth_cap >= 0) {
+    out += "BFDN_1(d=";
+    append_int(out, options.depth_cap);
+    out += ", ";
+  } else {
+    out += "BFDN(";
   }
-  return str_format("BFDN(%s%s)", policy, shortcut);
+  out += policy;
+  if (options.shortcut_reanchor) out += "+shortcut";
+  out += ')';
 }
 
 void BfdnAlgorithm::begin(const ExplorationView& view) {

@@ -69,6 +69,10 @@ class BfdnAlgorithm : public Algorithm {
                          BfdnOptions options = BfdnOptions{});
 
   std::string name() const override;
+  /// Appends the name() of a BfdnAlgorithm with these options to `out`,
+  /// without building one (the service's canonical request form spells
+  /// it on every request).
+  static void name_of(const BfdnOptions& options, std::string& out);
   void begin(const ExplorationView& view) override;
   void select_moves(const ExplorationView& view,
                     MoveSelector& selector) override;

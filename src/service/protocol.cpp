@@ -1,6 +1,8 @@
 #include "service/protocol.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <numeric>
 
 #include "graph/generators.h"
@@ -17,7 +19,7 @@ constexpr const char* kFamilies[] = {
     "random", "path",  "star",     "binary",      "spider",
     "caterpillar", "comb", "broom", "cte-hard", "fixed-depth"};
 
-bool known_family(const std::string& family) {
+bool known_family(std::string_view family) {
   for (const char* name : kFamilies) {
     if (family == name) return true;
   }
@@ -34,7 +36,7 @@ const char* policy_name(ReanchorPolicy policy) {
   return "?";
 }
 
-bool parse_policy(const std::string& name, ReanchorPolicy& out) {
+bool parse_policy(std::string_view name, ReanchorPolicy& out) {
   if (name == "least-loaded") out = ReanchorPolicy::kLeastLoaded;
   else if (name == "random") out = ReanchorPolicy::kRandom;
   else if (name == "first-fit") out = ReanchorPolicy::kFirstFit;
@@ -55,7 +57,7 @@ const char* schedule_name(ScheduleKind kind) {
   return "?";
 }
 
-bool parse_schedule_kind(const std::string& name, ScheduleKind& out) {
+bool parse_schedule_kind(std::string_view name, ScheduleKind& out) {
   if (name == "none") out = ScheduleKind::kNone;
   else if (name == "full") out = ScheduleKind::kFull;
   else if (name == "round-robin") out = ScheduleKind::kRoundRobin;
@@ -77,7 +79,7 @@ const char* async_name(AsyncKind kind) {
   return "?";
 }
 
-bool parse_async_kind(const std::string& name, AsyncKind& out) {
+bool parse_async_kind(std::string_view name, AsyncKind& out) {
   if (name == "none") out = AsyncKind::kNone;
   else if (name == "round-robin") out = AsyncKind::kRoundRobin;
   else if (name == "fixed-rate") out = AsyncKind::kFixedRate;
@@ -87,6 +89,165 @@ bool parse_async_kind(const std::string& name, AsyncKind& out) {
   return true;
 }
 
+/// The request members parse_request reads, in serialize_request's
+/// order; kMemberNames spells them.
+enum class Member : std::uint8_t {
+  kId, kType, kFamily, kNodes, kDepth, kArms, kSeed, kAlgo, kK, kPolicy,
+  kAlgoSeed, kDepthCap, kEll, kSchedule, kHorizon, kP, kScheduleSeed,
+  kPeriod, kAsync, kAsyncSeed, kAsyncDelay, kAsyncPeriod, kAsyncSlow,
+  kMaxRounds, kFastForward, kCheckInvariants, kKs, kAlgoSeeds, kPort,
+  kFrom, kTo, kPeer, kBytes, kCount,
+};
+
+constexpr std::string_view kMemberNames[] = {
+    "id", "type", "family", "nodes", "depth", "arms", "seed", "algo", "k",
+    "policy", "algo_seed", "depth_cap", "ell", "schedule", "horizon", "p",
+    "schedule_seed", "period", "async", "async_seed", "async_delay",
+    "async_period", "async_slow", "max_rounds", "fast_forward",
+    "check_invariants", "ks", "algo_seeds", "port", "from", "to", "peer",
+    "bytes"};
+static_assert(std::size(kMemberNames) ==
+              static_cast<std::size_t>(Member::kCount));
+
+/// One value as read off the wire: its type and, for a scalar, its
+/// source text (a string's raw contents, a number's digits).
+struct WireValue {
+  JsonValue::Type type = JsonValue::Type::kNull;
+  std::string_view text;
+  bool escaped = false;  // kString: text needs json_unescape
+  bool flag = false;     // kBool
+};
+
+/// Reads the value at the cursor. A container is skipped; its type is
+/// kept so that an accessor can reject it.
+WireValue read_wire_value(JsonReader& reader) {
+  WireValue value;
+  value.type = reader.peek_value();
+  switch (value.type) {
+    case JsonValue::Type::kString:
+      value.text = reader.read_string(&value.escaped);
+      break;
+    case JsonValue::Type::kNumber: value.text = reader.read_number(); break;
+    case JsonValue::Type::kBool: value.flag = reader.read_bool(); break;
+    case JsonValue::Type::kNull: reader.read_null(); break;
+    case JsonValue::Type::kArray:
+    case JsonValue::Type::kObject: reader.skip_value(); break;
+  }
+  return value;
+}
+
+/// The members of one request object, read in a single pass over the
+/// line without building a DOM. Each member keeps its first occurrence
+/// and unknown members are skipped, as JsonValue lookups would. The
+/// accessors mirror JsonValue's get_* with the same errors; strings come
+/// back as views into the line (or into `scratch` when escaped).
+class RequestMembers {
+ public:
+  /// Reads the object at the reader's cursor.
+  void read(JsonReader& reader) {
+    std::string_view name;
+    for (bool more = reader.first_member(&name); more;
+         more = reader.next_member(&name)) {
+      const std::size_t index = find(name);
+      if (index == kMembers || present_[index]) {
+        reader.skip_value();
+        continue;
+      }
+      present_[index] = true;
+      const auto member = static_cast<Member>(index);
+      if ((member == Member::kKs || member == Member::kAlgoSeeds) &&
+          reader.peek_value() == JsonValue::Type::kArray) {
+        std::vector<WireValue>& items =
+            member == Member::kKs ? ks_ : algo_seeds_;
+        for (bool item = reader.first_item(); item;
+             item = reader.next_item()) {
+          items.push_back(read_wire_value(reader));
+        }
+        values_[index].type = JsonValue::Type::kArray;
+        continue;
+      }
+      values_[index] = read_wire_value(reader);
+    }
+  }
+
+  bool has(Member member) const { return present_[slot(member)]; }
+
+  std::string_view get_string(Member member, std::string_view fallback,
+                              std::string& scratch) const {
+    if (!has(member)) return fallback;
+    return string_of(values_[slot(member)], scratch);
+  }
+  std::int64_t get_int(Member member, std::int64_t fallback) const {
+    return has(member) ? int_of(values_[slot(member)]) : fallback;
+  }
+  std::uint64_t get_uint(Member member, std::uint64_t fallback) const {
+    return has(member) ? uint_of(values_[slot(member)]) : fallback;
+  }
+  double get_double(Member member, double fallback) const {
+    if (!has(member)) return fallback;
+    const WireValue& value = values_[slot(member)];
+    json_require_type(value.type, JsonValue::Type::kNumber);
+    return json_to_double(value.text);
+  }
+  bool get_bool(Member member, bool fallback) const {
+    if (!has(member)) return fallback;
+    const WireValue& value = values_[slot(member)];
+    json_require_type(value.type, JsonValue::Type::kBool);
+    return value.flag;
+  }
+  /// The items of "ks" / "algo_seeds"; nullptr unless it is an array.
+  const std::vector<WireValue>* array(Member member) const {
+    if (values_[slot(member)].type != JsonValue::Type::kArray) return nullptr;
+    return member == Member::kKs ? &ks_ : &algo_seeds_;
+  }
+
+  static std::int64_t int_of(const WireValue& value) {
+    json_require_type(value.type, JsonValue::Type::kNumber);
+    return json_to_int(value.text);
+  }
+  static std::uint64_t uint_of(const WireValue& value) {
+    json_require_type(value.type, JsonValue::Type::kNumber);
+    return json_to_uint(value.text);
+  }
+
+ private:
+  static constexpr std::size_t kMembers =
+      static_cast<std::size_t>(Member::kCount);
+
+  static std::size_t slot(Member member) {
+    return static_cast<std::size_t>(member);
+  }
+
+  /// The index of `name` in kMemberNames, kMembers if absent. Lines
+  /// written by serialize_request list members in kMemberNames order,
+  /// so the search starts after the previous member found.
+  std::size_t find(std::string_view name) {
+    for (std::size_t n = 0; n < kMembers; ++n) {
+      const std::size_t index = (next_ + n) % kMembers;
+      if (kMemberNames[index] == name) {
+        next_ = index + 1;
+        return index;
+      }
+    }
+    return kMembers;
+  }
+
+  static std::string_view string_of(const WireValue& value,
+                                    std::string& scratch) {
+    json_require_type(value.type, JsonValue::Type::kString);
+    if (!value.escaped) return value.text;
+    scratch.clear();
+    json_unescape(value.text, scratch);
+    return scratch;
+  }
+
+  std::array<WireValue, kMembers> values_{};
+  std::array<bool, kMembers> present_{};
+  std::vector<WireValue> ks_;
+  std::vector<WireValue> algo_seeds_;
+  std::size_t next_ = 0;
+};
+
 }  // namespace
 
 Tree TreeRecipe::build() const {
@@ -94,9 +255,22 @@ Tree TreeRecipe::build() const {
 }
 
 std::string TreeRecipe::label() const {
-  return str_format("%s(nodes=%lld,depth=%d,arms=%d,seed=%llu)",
-                    family.c_str(), static_cast<long long>(nodes), depth,
-                    arms, static_cast<unsigned long long>(seed));
+  std::string out;
+  append_label(out, *this);
+  return out;
+}
+
+void append_label(std::string& out, const TreeRecipe& recipe) {
+  out += recipe.family;
+  out += "(nodes=";
+  append_int(out, recipe.nodes);
+  out += ",depth=";
+  append_int(out, recipe.depth);
+  out += ",arms=";
+  append_int(out, recipe.arms);
+  out += ",seed=";
+  append_uint(out, recipe.seed);
+  out += ')';
 }
 
 std::string algo_wire_name(const AlgoSpec& algo) {
@@ -114,114 +288,128 @@ std::string algo_wire_name(const AlgoSpec& algo) {
 
 bool parse_request(const std::string& line, ServiceRequest& out,
                    std::string* error) {
-  const auto fail = [error](const std::string& message) {
+  const auto fail = [error](std::string_view message) {
     if (error != nullptr) *error = message;
     return false;
   };
+  const auto unknown = [&fail](const char* what, std::string_view name) {
+    std::string message = what;
+    message += name;
+    return fail(message);
+  };
 
-  JsonValue doc;
-  std::string json_error;
-  if (!json_parse(line, doc, &json_error)) return fail(json_error);
-  if (!doc.is_object()) return fail("request must be a JSON object");
+  // Syntax errors, wrong-typed members and out-of-range numbers all
+  // throw CheckError; a syntax error anywhere in the line is reported
+  // before any semantic one, as the whole object is read first.
+  try {
+    JsonReader reader(line);
+    if (reader.peek_value() != JsonValue::Type::kObject) {
+      reader.skip_value();
+      reader.finish();
+      return fail("request must be a JSON object");
+    }
+    RequestMembers doc;
+    doc.read(reader);
+    reader.finish();
 
-  out = ServiceRequest{};
-  out.id = doc.get_string("id", "");
+    // An escaped string member, unescaped; a view into it lasts until
+    // the next get_string.
+    std::string scratch;
+    out = ServiceRequest{};
+    out.id = doc.get_string(Member::kId, "", scratch);
 
-  const std::string type = doc.get_string("type", "run");
-  if (type == "stats") {
-    out.type = RequestType::kStats;
-    return true;
-  }
-  if (type == "compact") {
-    out.type = RequestType::kCompact;
-    return true;
-  }
-  if (type == "peer_stats") {
-    out.type = RequestType::kPeerStats;
-    return true;
-  }
-  if (type == "ship_segment") {
-    out.type = RequestType::kShipSegment;
-    try {
+    const std::string_view type =
+        doc.get_string(Member::kType, "run", scratch);
+    if (type == "stats") {
+      out.type = RequestType::kStats;
+      return true;
+    }
+    if (type == "compact") {
+      out.type = RequestType::kCompact;
+      return true;
+    }
+    if (type == "peer_stats") {
+      out.type = RequestType::kPeerStats;
+      return true;
+    }
+    if (type == "ship_segment") {
+      out.type = RequestType::kShipSegment;
       out.ship_port =
-          static_cast<std::int32_t>(doc.get_int("port", 0));
+          static_cast<std::int32_t>(doc.get_int(Member::kPort, 0));
       out.ship_peer =
-          static_cast<std::int32_t>(doc.get_int("peer", -1));
+          static_cast<std::int32_t>(doc.get_int(Member::kPeer, -1));
       // Router form: "from" names the shipping peer, "to" the receiver.
       out.ship_from =
-          static_cast<std::int32_t>(doc.get_int("from", -1));
-      if (doc.has("to")) {
-        out.ship_peer = static_cast<std::int32_t>(doc.get_int("to", -1));
+          static_cast<std::int32_t>(doc.get_int(Member::kFrom, -1));
+      if (doc.has(Member::kTo)) {
+        out.ship_peer =
+            static_cast<std::int32_t>(doc.get_int(Member::kTo, -1));
       }
-    } catch (const CheckError& e) {
-      return fail(e.what());
+      if (out.ship_port < 0 || out.ship_port > 65535) {
+        return fail("ship_segment port out of range");
+      }
+      if (out.ship_port == 0 && out.ship_peer < 0) {
+        return fail("ship_segment needs a target: port, peer, or to");
+      }
+      return true;
     }
-    if (out.ship_port < 0 || out.ship_port > 65535) {
-      return fail("ship_segment port out of range");
+    if (type == "segment_fill") {
+      out.type = RequestType::kSegmentFill;
+      out.fill_bytes = doc.get_int(Member::kBytes, 0);
+      if (out.fill_bytes < static_cast<std::int64_t>(
+                               store::kSegmentHeaderBytes) ||
+          out.fill_bytes >
+              static_cast<std::int64_t>(store::kMaxPayloadBytes)) {
+        return fail("segment_fill bytes out of range");
+      }
+      return true;
     }
-    if (out.ship_port == 0 && out.ship_peer < 0) {
-      return fail("ship_segment needs a target: port, peer, or to");
+    if (type == "run") {
+      out.type = RequestType::kRun;
+    } else if (type == "campaign") {
+      out.type = RequestType::kCampaign;
+    } else if (type == "shard") {
+      out.type = RequestType::kShard;
+    } else {
+      return unknown("unknown request type: ", type);
     }
-    return true;
-  }
-  if (type == "segment_fill") {
-    out.type = RequestType::kSegmentFill;
-    try {
-      out.fill_bytes = doc.get_int("bytes", 0);
-    } catch (const CheckError& e) {
-      return fail(e.what());
-    }
-    if (out.fill_bytes < static_cast<std::int64_t>(
-                             store::kSegmentHeaderBytes) ||
-        out.fill_bytes >
-            static_cast<std::int64_t>(store::kMaxPayloadBytes)) {
-      return fail("segment_fill bytes out of range");
-    }
-    return true;
-  }
-  if (type == "run") {
-    out.type = RequestType::kRun;
-  } else if (type == "campaign") {
-    out.type = RequestType::kCampaign;
-  } else if (type == "shard") {
-    out.type = RequestType::kShard;
-  } else {
-    return fail("unknown request type: " + type);
-  }
 
-  try {
-    out.recipe.family = doc.get_string("family", out.recipe.family);
+    out.recipe.family =
+        doc.get_string(Member::kFamily, out.recipe.family, scratch);
     if (!known_family(out.recipe.family)) {
-      return fail("unknown family: " + out.recipe.family);
+      return unknown("unknown family: ", out.recipe.family);
     }
-    out.recipe.nodes = doc.get_int("nodes", out.recipe.nodes);
-    out.recipe.depth =
-        static_cast<std::int32_t>(doc.get_int("depth", out.recipe.depth));
-    out.recipe.arms =
-        static_cast<std::int32_t>(doc.get_int("arms", out.recipe.arms));
-    out.recipe.seed = doc.get_uint("seed", out.recipe.seed);
+    out.recipe.nodes = doc.get_int(Member::kNodes, out.recipe.nodes);
+    out.recipe.depth = static_cast<std::int32_t>(
+        doc.get_int(Member::kDepth, out.recipe.depth));
+    out.recipe.arms = static_cast<std::int32_t>(
+        doc.get_int(Member::kArms, out.recipe.arms));
+    out.recipe.seed = doc.get_uint(Member::kSeed, out.recipe.seed);
     if (out.recipe.nodes < 1) return fail("nodes must be >= 1");
     if (out.recipe.depth < 0) return fail("depth must be >= 0");
     if (out.recipe.arms < 1) return fail("arms must be >= 1");
 
-    const std::string algo = doc.get_string("algo", "bfdn");
+    std::string algo_scratch;  // `algo` outlives the policy's view
+    const std::string_view algo =
+        doc.get_string(Member::kAlgo, "bfdn", algo_scratch);
     if (algo == "bfdn" || algo == "bfdn-shortcut") {
       out.algo.kind = AlgoKind::kBfdn;
       out.algo.options.shortcut_reanchor = algo == "bfdn-shortcut";
-      if (!parse_policy(doc.get_string("policy", "least-loaded"),
-                        out.algo.options.policy)) {
-        return fail("unknown policy: " + doc.get_string("policy", ""));
+      const std::string_view policy =
+          doc.get_string(Member::kPolicy, "least-loaded", scratch);
+      if (!parse_policy(policy, out.algo.options.policy)) {
+        return unknown("unknown policy: ", policy);
       }
       out.algo.options.seed =
-          doc.get_uint("algo_seed", out.algo.options.seed);
+          doc.get_uint(Member::kAlgoSeed, out.algo.options.seed);
       out.algo.options.depth_cap = static_cast<std::int32_t>(
-          doc.get_int("depth_cap", out.algo.options.depth_cap));
+          doc.get_int(Member::kDepthCap, out.algo.options.depth_cap));
     } else if (algo == "bfdn-ell" || algo == "ell2" || algo == "ell3") {
       out.algo.kind = AlgoKind::kBfdnEll;
       out.algo.ell = algo == "ell2"   ? 2
                      : algo == "ell3" ? 3
                                       : static_cast<std::int32_t>(
-                                            doc.get_int("ell", 2));
+                                            doc.get_int(Member::kEll, 2));
       if (out.algo.ell < 1 || out.algo.ell > 8) {
         return fail("ell must be in [1, 8]");
       }
@@ -230,66 +418,70 @@ bool parse_request(const std::string& line, ServiceRequest& out,
     } else if (algo == "bfs-levels") {
       out.algo.kind = AlgoKind::kBfsLevels;
     } else {
-      return fail("unknown or non-servable algo: " + algo);
+      return unknown("unknown or non-servable algo: ", algo);
     }
-    out.algo.k = static_cast<std::int32_t>(doc.get_int("k", 1));
+    out.algo.k = static_cast<std::int32_t>(doc.get_int(Member::kK, 1));
     if (out.algo.k < 1 || out.algo.k > 65536) {
       return fail("k must be in [1, 65536]");
     }
 
-    if (!parse_schedule_kind(doc.get_string("schedule", "none"),
-                             out.schedule.kind)) {
-      return fail("unknown schedule: " + doc.get_string("schedule", ""));
+    const std::string_view schedule =
+        doc.get_string(Member::kSchedule, "none", scratch);
+    if (!parse_schedule_kind(schedule, out.schedule.kind)) {
+      return unknown("unknown schedule: ", schedule);
     }
     if (out.schedule.kind != ScheduleKind::kNone) {
-      out.schedule.horizon = doc.get_int("horizon", 0);
+      out.schedule.horizon = doc.get_int(Member::kHorizon, 0);
       if (out.schedule.horizon < 1) {
         return fail("schedule needs horizon >= 1");
       }
-      out.schedule.p = doc.get_double("p", out.schedule.p);
+      out.schedule.p = doc.get_double(Member::kP, out.schedule.p);
       out.schedule.seed =
-          doc.get_uint("schedule_seed", out.schedule.seed);
-      out.schedule.period = doc.get_int("period", out.schedule.period);
+          doc.get_uint(Member::kScheduleSeed, out.schedule.seed);
+      out.schedule.period =
+          doc.get_int(Member::kPeriod, out.schedule.period);
       if (out.schedule.period < 1) return fail("period must be >= 1");
     }
 
-    if (!parse_async_kind(doc.get_string("async", "none"),
-                          out.async.kind)) {
-      return fail("unknown async scheduler: " + doc.get_string("async", ""));
+    const std::string_view async =
+        doc.get_string(Member::kAsync, "none", scratch);
+    if (!parse_async_kind(async, out.async.kind)) {
+      return unknown("unknown async scheduler: ", async);
     }
     if (out.async.kind != AsyncKind::kNone) {
       if (out.schedule.kind != ScheduleKind::kNone) {
         return fail("async is mutually exclusive with schedule");
       }
-      out.async.seed = doc.get_uint("async_seed", out.async.seed);
-      out.async.max_delay = doc.get_int("async_delay", out.async.max_delay);
+      out.async.seed = doc.get_uint(Member::kAsyncSeed, out.async.seed);
+      out.async.max_delay =
+          doc.get_int(Member::kAsyncDelay, out.async.max_delay);
       if (out.async.max_delay < 0) return fail("async_delay must be >= 0");
-      out.async.period = doc.get_int("async_period", out.async.period);
+      out.async.period = doc.get_int(Member::kAsyncPeriod, out.async.period);
       if (out.async.period < 1) return fail("async_period must be >= 1");
       out.async.num_slow = static_cast<std::int32_t>(
-          doc.get_int("async_slow", out.async.num_slow));
+          doc.get_int(Member::kAsyncSlow, out.async.num_slow));
       if (out.async.num_slow < 1) return fail("async_slow must be >= 1");
     }
 
-    out.max_rounds = doc.get_int("max_rounds", 0);
-    out.fast_forward = doc.get_bool("fast_forward", true);
-    out.check_invariants = doc.get_bool("check_invariants", false);
+    out.max_rounds = doc.get_int(Member::kMaxRounds, 0);
+    out.fast_forward = doc.get_bool(Member::kFastForward, true);
+    out.check_invariants = doc.get_bool(Member::kCheckInvariants, false);
 
     if (out.type == RequestType::kCampaign) {
-      if (doc.has("ks")) {
-        const JsonValue& ks = doc.at("ks");
-        if (!ks.is_array()) return fail("ks must be an array");
-        for (std::size_t i = 0; i < ks.size(); ++i) {
-          const std::int64_t k = ks.at(i).as_int();
+      if (doc.has(Member::kKs)) {
+        const std::vector<WireValue>* ks = doc.array(Member::kKs);
+        if (ks == nullptr) return fail("ks must be an array");
+        for (const WireValue& item : *ks) {
+          const std::int64_t k = RequestMembers::int_of(item);
           if (k < 1 || k > 65536) return fail("k must be in [1, 65536]");
           out.campaign_ks.push_back(static_cast<std::int32_t>(k));
         }
       }
-      if (doc.has("algo_seeds")) {
-        const JsonValue& seeds = doc.at("algo_seeds");
-        if (!seeds.is_array()) return fail("algo_seeds must be an array");
-        for (std::size_t i = 0; i < seeds.size(); ++i) {
-          out.campaign_seeds.push_back(seeds.at(i).as_uint());
+      if (doc.has(Member::kAlgoSeeds)) {
+        const std::vector<WireValue>* seeds = doc.array(Member::kAlgoSeeds);
+        if (seeds == nullptr) return fail("algo_seeds must be an array");
+        for (const WireValue& item : *seeds) {
+          out.campaign_seeds.push_back(RequestMembers::uint_of(item));
         }
       }
       const std::size_t members =
@@ -301,7 +493,7 @@ bool parse_request(const std::string& line, ServiceRequest& out,
       }
     }
   } catch (const CheckError& e) {
-    return fail(e.what());  // wrong-typed field accessors throw
+    return fail(e.what());
   }
   return true;
 }
@@ -435,10 +627,19 @@ std::string batch_coalesce_key(const ServiceRequest& request) {
   }
   ServiceRequest blind = request;
   blind.algo.options.seed = 0;
-  return "batch:" + canonical_request(blind);
+  std::string key = "batch:";
+  append_canonical_request(key, blind);
+  return key;
 }
 
 std::string canonical_request(const ServiceRequest& request) {
+  std::string out;
+  append_canonical_request(out, request);
+  return out;
+}
+
+void append_canonical_request(std::string& out,
+                              const ServiceRequest& request) {
   // kShard carries the same fields as kRun and asks "where would this
   // run live?", so it canonicalizes — and therefore fingerprints —
   // exactly like the run it describes.
@@ -447,22 +648,34 @@ std::string canonical_request(const ServiceRequest& request) {
                "canonical_request: run/shard requests only");
   // The request id is transport-level and deliberately excluded; two
   // clients asking for the same run share one cache entry. AlgoSpec /
-  // ScheduleSpec render through the same label()s the verification
+  // ScheduleSpec render through the same labels the verification
   // harness writes into trace files.
-  return str_format(
-      "recipe=%s algo=%s policy=%s algo_seed=%llu depth_cap=%d "
-      "sched=%s async=%s max_rounds=%lld ff=%d check=%d",
-      request.recipe.label().c_str(), request.algo.label().c_str(),
-      policy_name(request.algo.options.policy),
-      static_cast<unsigned long long>(request.algo.options.seed),
-      request.algo.options.depth_cap, request.schedule.label().c_str(),
-      request.async.label().c_str(),
-      static_cast<long long>(request.max_rounds),
-      request.fast_forward ? 1 : 0, request.check_invariants ? 1 : 0);
+  out += "recipe=";
+  append_label(out, request.recipe);
+  out += " algo=";
+  append_label(out, request.algo);
+  out += " policy=";
+  out += policy_name(request.algo.options.policy);
+  out += " algo_seed=";
+  append_uint(out, request.algo.options.seed);
+  out += " depth_cap=";
+  append_int(out, request.algo.options.depth_cap);
+  out += " sched=";
+  append_label(out, request.schedule);
+  out += " async=";
+  append_label(out, request.async);
+  out += " max_rounds=";
+  append_int(out, request.max_rounds);
+  out += request.fast_forward ? " ff=1" : " ff=0";
+  out += request.check_invariants ? " check=1" : " check=0";
 }
 
 std::uint64_t request_fingerprint(const ServiceRequest& request) {
-  const std::string canonical = canonical_request(request);
+  // Its capacity settles at the longest canonical form the thread has
+  // rendered: a few hundred bytes.
+  thread_local std::string canonical;
+  canonical.clear();
+  append_canonical_request(canonical, request);
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
   for (const char c : canonical) {
     h ^= static_cast<unsigned char>(c);
@@ -537,15 +750,28 @@ ResponseStatus response_status(std::string_view response) {
 
 std::string ok_response(const std::string& id, bool cached,
                         std::uint64_t key, const std::string& result_json) {
-  JsonWriter w;
-  w.begin_object();
-  w.kv("id", id);
-  w.kv("status", "ok");
-  w.kv("cached", cached);
-  w.kv("key", str_format("%016llx", static_cast<unsigned long long>(key)));
-  w.key("result").raw(result_json);
-  w.end_object();
-  return w.str();
+  // The bytes JsonWriter would emit, appended directly into a string
+  // reserved for the worst-case escaped id (6 bytes per character) and
+  // the line's '\n'.
+  static constexpr std::string_view kId = R"({"id":)";
+  static constexpr std::string_view kCached = R"(,"status":"ok","cached":)";
+  static constexpr std::string_view kKey = R"(,"key":")";
+  static constexpr std::string_view kResult = R"(","result":)";
+  static constexpr std::size_t kFixedBytes =
+      kId.size() + 2 + kCached.size() + 5 + kKey.size() + 16 +
+      kResult.size() + 1 + 1;
+  std::string out;
+  out.reserve(kFixedBytes + 6 * id.size() + result_json.size());
+  out += kId;
+  json_append_quoted(out, id);
+  out += kCached;
+  out += cached ? "true" : "false";
+  out += kKey;
+  append_hex16(out, key);
+  out += kResult;
+  out += result_json;
+  out += '}';
+  return out;
 }
 
 std::string retry_response(const std::string& id,

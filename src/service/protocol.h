@@ -47,6 +47,8 @@ struct TreeRecipe {
   /// Canonical "family(nodes=..,depth=..,arms=..,seed=..)" rendering.
   std::string label() const;
 };
+/// Appends recipe.label() to `out`.
+void append_label(std::string& out, const TreeRecipe& recipe);
 
 enum class RequestType : std::uint8_t {
   kRun,
@@ -124,10 +126,15 @@ bool parse_request(const std::string& line, ServiceRequest& out,
 std::string serialize_request(const ServiceRequest& request);
 
 /// Normalized key=value rendering of every field that affects the
-/// result; the cache key's preimage.
+/// result; the cache key's preimage, and therefore a persisted format
+/// (docs/SERVICE.md). append_canonical_request is its one writer.
 std::string canonical_request(const ServiceRequest& request);
+/// Appends canonical_request(request) to `out`.
+void append_canonical_request(std::string& out, const ServiceRequest& request);
 
 /// Content address: FNV-1a over canonical_request, splitmix64-mixed.
+/// Renders into a reused per-thread buffer, so a steady-state call
+/// allocates nothing.
 std::uint64_t request_fingerprint(const ServiceRequest& request);
 
 /// Runs the request's simulation on `tree` and serializes the RunResult
@@ -165,6 +172,8 @@ enum class ResponseStatus : std::uint8_t { kOk, kRetry, kError };
 /// line without a recognizable status reads as kError.
 ResponseStatus response_status(std::string_view response);
 
+/// Built in one allocation that also holds the '\n' the line server
+/// appends.
 std::string ok_response(const std::string& id, bool cached,
                         std::uint64_t key, const std::string& result_json);
 std::string retry_response(const std::string& id,

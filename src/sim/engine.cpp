@@ -697,9 +697,7 @@ RunResult run_async_stepped(const Tree& tree, Algorithm& algorithm,
   return result;
 }
 
-/// A (time, robot-or-class) min-heap entry. Ties pop in ascending
-/// index, so the robots selecting at one time leave the heap in the
-/// order Claim 2's reservations need.
+/// A (time, rate class) min-heap entry; ties pop in ascending index.
 using TimedEntry = std::pair<std::int64_t, std::int32_t>;
 
 void push_timed(std::vector<TimedEntry>& heap, std::int64_t time,
@@ -777,12 +775,14 @@ class ActivationCalendar {
 /// of the synchronous fast-forward carries over: a walk touches no
 /// shared state another robot's decision reads). A walking robot's next
 /// selection is the activation after its last walk step,
-/// nth_activation(T, i, steps); selections sit in a (time, robot)
-/// min-heap. Robots of one rate class share every activation time, so
-/// a processed time needs only the per-class counts of the classes
-/// activated at T — activated = Σ class sizes, moves = Σ class walkers
-/// + selector moves, idle = Σ class parked + stayers — and costs
-/// O(active classes + selecting robots), never O(k).
+/// nth_activation(T, i, steps); each robot's next selection time sits
+/// in a per-robot array beside their cached minimum. Robots of one rate
+/// class share every activation time, so a processed time needs only
+/// the per-class counts of the classes activated at T — activated =
+/// Σ class sizes, moves = Σ class walkers + selector moves, idle =
+/// Σ class parked + stayers — and costs O(active classes); a time at
+/// which robots select adds one O(k) pass over the array, which yields
+/// them in the ascending order Claim 2's reservations need.
 RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
                                  const RunConfig& config,
                                  std::int64_t max_rounds) {
@@ -810,8 +810,11 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
   BFDN_CHECK(num_classes >= 1, "scheduler needs at least one rate class");
   std::vector<RateClass> classes(static_cast<std::size_t>(num_classes));
   std::vector<std::int32_t> class_of(static_cast<std::size_t>(k));
-  std::vector<TimedEntry> selections;
-  selections.reserve(static_cast<std::size_t>(k));
+  // Each robot's next selection time (kNever once it never selects
+  // again) and the minimum over all robots.
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> next_selection(static_cast<std::size_t>(k));
+  std::int64_t earliest_selection = kNever;
   for (std::int32_t i = 0; i < k; ++i) {
     const std::int32_t c = schedule.rate_class(i);
     BFDN_CHECK(c >= 0 && c < num_classes, "rate class out of range");
@@ -821,7 +824,8 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
     if (rate_class.member < 0) rate_class.member = i;
     const std::int64_t first = schedule.first_activation(i);
     BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
-    push_timed(selections, first, i);
+    next_selection[static_cast<std::size_t>(i)] = first;
+    earliest_selection = std::min(earliest_selection, first);
   }
   ActivationCalendar activations;
   for (std::int32_t c = 0; c < num_classes; ++c) {
@@ -865,18 +869,28 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
       parked += rate_class.parked;
     }
     selecting.clear();
-    while (!selections.empty() && selections.front().first == now) {
-      const std::int32_t i = pop_timed(selections);
-      const auto s = static_cast<std::size_t>(i);
-      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
-      BFDN_CHECK(rate_class.active_at == now,
-                 "a robot's activation is not one of its rate class's");
-      if (walking[s]) {  // its walk ended at the class's last activation
-        walking[s] = 0;
-        --rate_class.walkers;
+    BFDN_CHECK(earliest_selection >= now,
+               "a robot's selection time was never processed");
+    if (earliest_selection == now) {
+      earliest_selection = kNever;
+      for (std::int32_t i = 0; i < k; ++i) {
+        const auto s = static_cast<std::size_t>(i);
+        if (next_selection[s] != now) {
+          earliest_selection = std::min(earliest_selection, next_selection[s]);
+          continue;
+        }
+        RateClass& rate_class =
+            classes[static_cast<std::size_t>(class_of[s])];
+        BFDN_CHECK(rate_class.active_at == now,
+                   "a robot's activation is not one of its rate class's");
+        if (walking[s]) {  // its walk ended at the class's last activation
+          walking[s] = 0;
+          --rate_class.walkers;
+        }
+        state.set_robot_clock(i, now);
+        selecting.push_back(i);
+        next_selection[s] = kNever;  // until re-planned below
       }
-      state.set_robot_clock(i, now);
-      selecting.push_back(i);
     }
     std::int64_t walkers = 0;
     for (const std::int32_t c : active) {
@@ -943,7 +957,8 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
       if (plan.kind == TransitPlan::Kind::kEvent || plan.steps == 0) {
         const std::int64_t next = schedule.next_activation(now, i);
         BFDN_CHECK(next > now, "scheduler next_activation must advance time");
-        push_timed(selections, next, i);
+        next_selection[s] = next;
+        earliest_selection = std::min(earliest_selection, next);
         continue;
       }
       walking[s] = 1;
@@ -952,7 +967,8 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
       BFDN_CHECK(walk_end > now, "scheduler nth_activation must advance time");
       if (walk_end <= max_rounds) {
         apply_walk(tree, state, i, plan, result);
-        push_timed(selections, schedule.next_activation(walk_end, i), i);
+        next_selection[s] = schedule.next_activation(walk_end, i);
+        earliest_selection = std::min(earliest_selection, next_selection[s]);
         continue;
       }
       // A limit-capped walk: only the steps at activations inside the

@@ -1,5 +1,7 @@
 #include "support/strings.h"
 
+#include <array>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <sstream>
@@ -21,6 +23,40 @@ std::string str_format(const char* fmt, ...) {
   std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  std::array<char, 24> buf;
+  const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+  out.append(buf.data(), end.ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  std::array<char, 24> buf;
+  const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+  out.append(buf.data(), end.ptr);
+}
+
+void append_fixed(std::string& out, double value, int decimals) {
+  // The widest finite double has 309 integer digits.
+  std::array<char, 320> buf;
+  const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                                 std::chars_format::fixed, decimals);
+  if (end.ec == std::errc{}) {
+    out.append(buf.data(), end.ptr);
+  } else {
+    out += str_format("%.*f", decimals, value);
+  }
+}
+
+void append_hex16(std::string& out, std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::array<char, 16> buf;
+  for (int i = 15; i >= 0; --i) {
+    buf[static_cast<std::size_t>(i)] = kDigits[value & 0xf];
+    value >>= 4;
+  }
+  out.append(buf.data(), buf.size());
 }
 
 std::string join(const std::vector<std::string>& items,

@@ -28,28 +28,52 @@ std::unique_ptr<FiniteSchedule> ScheduleSpec::make(std::int32_t k) const {
 }
 
 std::string ScheduleSpec::label() const {
-  switch (kind) {
+  std::string out;
+  append_label(out, *this);
+  return out;
+}
+
+void append_label(std::string& out, const ScheduleSpec& spec) {
+  // "<name>(h=<horizon>[, <param>=<value>])".
+  const auto horizon_label = [&spec, &out](const char* name) {
+    out += name;
+    out += "(h=";
+    append_int(out, spec.horizon);
+  };
+  switch (spec.kind) {
     case ScheduleKind::kNone:
-      return "none";
+      out += "none";
+      return;
     case ScheduleKind::kFull:
-      return str_format("full(h=%lld)", static_cast<long long>(horizon));
+      horizon_label("full");
+      out += ')';
+      return;
     case ScheduleKind::kRoundRobin:
-      return str_format("round-robin(h=%lld)",
-                        static_cast<long long>(horizon));
+      horizon_label("round-robin");
+      out += ')';
+      return;
     case ScheduleKind::kRandom:
-      return str_format("random(h=%lld, p=%.3f, seed=%llu)",
-                        static_cast<long long>(horizon), p,
-                        static_cast<unsigned long long>(seed));
+      horizon_label("random");
+      out += ", p=";
+      append_fixed(out, spec.p, 3);
+      out += ", seed=";
+      append_uint(out, spec.seed);
+      out += ')';
+      return;
     case ScheduleKind::kBurst:
-      return str_format("burst(h=%lld, burst=%lld)",
-                        static_cast<long long>(horizon),
-                        static_cast<long long>(period));
+      horizon_label("burst");
+      out += ", burst=";
+      append_int(out, spec.period);
+      out += ')';
+      return;
     case ScheduleKind::kRollingOutage:
-      return str_format("rolling(h=%lld, period=%lld)",
-                        static_cast<long long>(horizon),
-                        static_cast<long long>(period));
+      horizon_label("rolling");
+      out += ", period=";
+      append_int(out, spec.period);
+      out += ')';
+      return;
   }
-  return "?";
+  out += '?';
 }
 
 std::unique_ptr<AsyncScheduler> AsyncSpec::make(std::int32_t k) const {
@@ -89,43 +113,72 @@ std::int64_t AsyncSpec::slowdown() const {
 }
 
 std::string AsyncSpec::label() const {
-  switch (kind) {
+  std::string out;
+  append_label(out, *this);
+  return out;
+}
+
+void append_label(std::string& out, const AsyncSpec& spec) {
+  switch (spec.kind) {
     case AsyncKind::kNone:
-      return "none";
+      out += "none";
+      return;
     case AsyncKind::kRoundRobin:
-      return "round-robin";
+      out += "round-robin";
+      return;
     case AsyncKind::kFixedRate:
-      return str_format("fixed-rate(period=%lld, slow=%d)",
-                        static_cast<long long>(period), num_slow);
     case AsyncKind::kLaggard:
-      return str_format("laggard(period=%lld, slow=%d)",
-                        static_cast<long long>(period), num_slow);
+      out += spec.kind == AsyncKind::kFixedRate ? "fixed-rate(period="
+                                                : "laggard(period=";
+      append_int(out, spec.period);
+      out += ", slow=";
+      append_int(out, spec.num_slow);
+      out += ')';
+      return;
     case AsyncKind::kRandom:
-      return str_format("random(seed=%llu, delay=%lld)",
-                        static_cast<unsigned long long>(seed),
-                        static_cast<long long>(max_delay));
+      out += "random(seed=";
+      append_uint(out, spec.seed);
+      out += ", delay=";
+      append_int(out, spec.max_delay);
+      out += ')';
+      return;
   }
-  return "?";
+  out += '?';
 }
 
 std::string AlgoSpec::label() const {
-  switch (kind) {
-    case AlgoKind::kBfdn: {
-      BfdnAlgorithm probe(k, options);
-      return str_format("%s/k%d", probe.name().c_str(), k);
-    }
+  std::string out;
+  append_label(out, *this);
+  return out;
+}
+
+void append_label(std::string& out, const AlgoSpec& spec) {
+  switch (spec.kind) {
+    case AlgoKind::kBfdn:
+      BfdnAlgorithm::name_of(spec.options, out);
+      break;
     case AlgoKind::kBfdnEll:
-      return str_format("bfdn-ell%d/k%d", ell, k);
+      out += "bfdn-ell";
+      append_int(out, spec.ell);
+      break;
     case AlgoKind::kBfsLevels:
-      return str_format("bfs-levels/k%d", k);
+      out += "bfs-levels";
+      break;
     case AlgoKind::kCte:
-      return str_format("cte/k%d", k);
+      out += "cte";
+      break;
     case AlgoKind::kWriteRead:
-      return str_format("writeread/k%d", k);
+      out += "writeread";
+      break;
     case AlgoKind::kGraphBfdn:
-      return str_format("graph-bfdn/k%d", k);
+      out += "graph-bfdn";
+      break;
+    default:
+      out += '?';
+      return;
   }
-  return "?";
+  out += "/k";
+  append_int(out, spec.k);
 }
 
 std::unique_ptr<Algorithm> make_algorithm(const AlgoSpec& spec,

@@ -105,6 +105,12 @@ struct AlgoSpec {
   }
 };
 
+// Append-style writers of the label()s above (label() is one of these
+// into a fresh string), for callers that render into a reused buffer.
+void append_label(std::string& out, const ScheduleSpec& spec);
+void append_label(std::string& out, const AsyncSpec& spec);
+void append_label(std::string& out, const AlgoSpec& spec);
+
 /// Instantiates an engine-based algorithm (requires engine_based()).
 /// CTE needs the ground-truth tree at construction, hence the argument.
 std::unique_ptr<Algorithm> make_algorithm(const AlgoSpec& spec,

@@ -4,6 +4,10 @@
 // number of simulated rounds. A single stray per-round allocation in
 // the engine, the selector, the state or BfdnAlgorithm multiplies by
 // the round count and blows the ceiling by orders of magnitude.
+//
+// Also pins the served cache-hit path's protocol work, which runs no
+// engine code: parsing a request line, fingerprinting it and building
+// the ok envelope allocate a fixed, small number of times.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +18,7 @@
 #include "adversarial/async_scheduler.h"
 #include "core/bfdn.h"
 #include "graph/generators.h"
+#include "service/protocol.h"
 #include "sim/engine.h"
 
 namespace {
@@ -132,6 +137,43 @@ TEST(HotpathAlloc, AsyncRunAllocationsAreRoundsIndependent) {
     const RunResult result = run_exploration(deep, probe, config);
     ASSERT_GT(result.rounds, 2000);  // the scenario is genuinely long
     EXPECT_LT(a2, result.rounds);
+  }
+}
+
+TEST(HotpathAlloc, CacheHitProtocolAllocations) {
+  // A vocabulary line of the served benchmark's hit-storm workload.
+  const std::string line =
+      R"({"id":"v0","type":"run","family":"caterpillar","nodes":2000,)"
+      R"("depth":40,"arms":3,"seed":96160665213566,"algo":"bfdn","k":8,)"
+      R"("policy":"least-loaded","algo_seed":1,"depth_cap":-1,)"
+      R"("schedule":"none"})";
+  // The size of that request's real result object.
+  const std::string result(347, 'r');
+  ServiceRequest request;
+  std::string error;
+  ASSERT_TRUE(parse_request(line, request, &error)) << error;
+  // Warms the fingerprint's per-thread buffer.
+  const std::uint64_t key = request_fingerprint(request);
+
+  for (int rep = 0; rep < 3; ++rep) {
+    {
+      ServiceRequest parsed;
+      CountingScope scope;
+      ASSERT_TRUE(parse_request(line, parsed, &error));
+      // Every string of this line fits in std::string's inline buffer.
+      EXPECT_EQ(scope.count(), 0) << "parse_request";
+    }
+    {
+      CountingScope scope;
+      EXPECT_EQ(request_fingerprint(request), key);
+      EXPECT_EQ(scope.count(), 0) << "request_fingerprint";
+    }
+    {
+      CountingScope scope;
+      std::string response = ok_response(request.id, true, key, result);
+      response += '\n';  // what LineServer::respond appends
+      EXPECT_EQ(scope.count(), 1) << "ok_response";
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Tests for the line-server core (src/service/line_server.h) that the
 // shard and the router share, each case run against both daemons: the
 // request-line cap (an over-cap line gets one error, then EOF, and the
-// daemon keeps serving), the request counters (every response counted
-// once by its envelope status), and drain with idle clients connected.
+// daemon keeps serving), malformed members answered with an error, the
+// request counters (every response counted once by its envelope
+// status), and drain with idle clients connected.
 // Plus the envelope-status reader the counters rely on.
 #include <gtest/gtest.h>
 
@@ -174,6 +175,22 @@ TEST_P(LineServerTest, EveryResponseIsCountedOnceByItsStatus) {
   // Behind a router, the shard's own counters (forwarded runs and
   // members, the peer_stats probe) obey the same invariant.
   expect_counts_add_up(requests_block(deployment.shard->stats_json()));
+  deployment.drain();
+}
+
+TEST_P(LineServerTest, WrongTypedIdOrTypeIsAnErrorNotACrash) {
+  Deployment deployment(GetParam());
+  Socket client = connect_local(deployment.port(), 30000);
+  for (const char* line : {"{\"id\":5}", "{\"type\":null}",
+                           "{\"id\":[],\"type\":\"stats\"}"}) {
+    const std::string response = call(client, line);
+    EXPECT_EQ(status_of(response), "error") << line;
+    EXPECT_NE(response.find("not a string"), std::string::npos) << response;
+  }
+  EXPECT_EQ(status_of(call(client, "{\"type\":\"stats\"}")), "ok");
+  const JsonValue requests = requests_block(deployment.stats_json());
+  EXPECT_EQ(requests.get_int("protocol_errors", -1), 3);
+  expect_counts_add_up(requests);
   deployment.drain();
 }
 
