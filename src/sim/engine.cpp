@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "support/check.h"
@@ -18,6 +19,9 @@ namespace bfdn {
 struct EngineAccess {
   static const std::vector<MoveSelector::Pending>& pending(
       const MoveSelector& sel) {
+    return sel.pending_;
+  }
+  static std::vector<MoveSelector::Pending>& pending(MoveSelector& sel) {
     return sel.pending_;
   }
   static const std::vector<std::uint64_t>& reanchors(
@@ -202,10 +206,10 @@ void Algorithm::plan_transit(const ExplorationView&, std::int32_t,
   BFDN_CHECK(false, "plan_transit called on a step-only algorithm");
 }
 
-void Algorithm::select_moves_subset(const ExplorationView&, MoveSelector&,
+void Algorithm::select_moves_subset(const ExplorationView& view,
+                                    MoveSelector& selector,
                                     const std::vector<std::int32_t>&) {
-  BFDN_CHECK(false,
-             "select_moves_subset called on a step-only algorithm");
+  select_moves(view, selector);
 }
 
 // Per-move/per-round helpers shared by the engine loops below.
@@ -554,145 +558,223 @@ RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
   return result;
 }
 
-/// Per-robot-clock execution (RunConfig::async). Time is a virtual
-/// integer axis; the scheduler decides at which times each robot is
-/// activated, and each processed time T is one synchronous mini-round
-/// over the robots activated at T: selection against the pre-MOVE
-/// state, then MOVE in ascending robot index — the same two-phase
-/// structure as the stepped loop, so a lockstep (round-robin) schedule
-/// reproduces the synchronous execution bit-exactly. Two loops,
-/// equivalent for committed-segment algorithms:
-///  * run_async_fast_forward (no per-round hooks, kCommittedSegments):
-///    committed walks are applied once, eagerly, when planned;
-///  * run_async_stepped, the reference: every activation runs real
-///    selection. Forced by per-round hooks (trace / observer /
-///    check_invariants) or a step-only transit capability.
+/// True iff the selected move changes the robot's position.
+bool is_move(const MoveSelector::Pending& p) {
+  return p.kind == MoveSelector::Kind::kUp ||
+         p.kind == MoveSelector::Kind::kDownExplored ||
+         p.kind == MoveSelector::Kind::kDownDangling;
+}
+
+/// Remark 8's reactive adversary, between selection and MOVE: it sees
+/// every robot's selection for round `round` (0-based), each robot it
+/// blocks stays put, and reservations whose edge no robot will traverse
+/// anymore return to the pool.
+void apply_reactive_blocks(
+    ReactiveAdversary& adversary, std::int64_t round, ExplorationState& state,
+    MoveSelector& selector,
+    std::vector<ReactiveAdversary::ObservedMove>& observed,
+    RunResult& result) {
+  std::vector<MoveSelector::Pending>& pending = EngineAccess::pending(selector);
+  const std::int32_t k = state.num_robots();
+  observed.assign(static_cast<std::size_t>(k),
+                  ReactiveAdversary::ObservedMove{});
+  for (std::int32_t i = 0; i < k; ++i) {
+    auto& entry = observed[static_cast<std::size_t>(i)];
+    const MoveSelector::Pending& p = pending[static_cast<std::size_t>(i)];
+    entry.robot = i;
+    entry.moves = is_move(p);
+    entry.takes_dangling = p.kind == MoveSelector::Kind::kDownDangling;
+  }
+  const std::vector<char> blocked = adversary.choose_blocked(round, observed);
+  BFDN_CHECK(static_cast<std::int32_t>(blocked.size()) == k,
+             "reactive adversary returned a wrong-sized block mask");
+  // A blocked robot without a move already stays; a blocked mover's
+  // selection becomes a stay in place (it stays listed for the
+  // selector's next reset).
+  for (std::int32_t i = 0; i < k; ++i) {
+    auto& p = pending[static_cast<std::size_t>(i)];
+    if (!blocked[static_cast<std::size_t>(i)] || !is_move(p)) continue;
+    ++result.reactive_blocks;
+    p = {MoveSelector::Kind::kStay, kInvalidNode};
+  }
+  // Release reservations whose edge no robot will traverse anymore
+  // (a group-joining teammate may still carry a blocked reserver's
+  // edge, in which case the reservation must survive to be consumed
+  // by that commit).
+  for (const auto& [token, at] : EngineAccess::reservations(selector)) {
+    const bool still_used =
+        std::any_of(pending.begin(), pending.end(), [token](const auto& p) {
+          return p.kind == MoveSelector::Kind::kDownDangling &&
+                 p.target == token;
+        });
+    if (!still_used) state.release_dangling(at, token);
+  }
+}
+
+/// Stepped execution, the reference loop for both clocks: every
+/// activation runs real selection and every per-round hook and
+/// adversary sees it. Each processed virtual time T is one synchronous
+/// mini-round over the robots activated at T (the batch): selection
+/// against the pre-MOVE state, then MOVE in ascending robot index (the
+/// commit order group traversals and Claim 2's reservations rely on).
+/// The activation source is either
+///  * lockstep (`clocks` == nullptr): T = t + 1 for round t, all clocks
+///    set at once, every robot activated unless a break-down schedule
+///    masks the batch (and the view's movable array) with allowed(t, i);
+///  * per-robot clocks (kAsyncSafe algorithms under RunConfig::async):
+///    T is the earliest next activation, the batch the robots due at T.
+/// So a round-robin schedule reproduces lockstep bit-exactly.
 ///
 /// Termination: no global all-stay round exists under a partial
-/// schedule, so both loops track the last time any robot moved and,
-/// per robot, the last time it was activated and chose to stay. Once
-/// every robot is parked or has stayed strictly after the last move,
-/// stay-stability (part of the kAsyncSafe contract) guarantees nobody
-/// ever moves again. Under round-robin this fires exactly on the
-/// stepped loop's uncounted terminal all-stay round.
+/// schedule, so the loop tracks the last time any robot moved and, per
+/// robot, the last time it was activated and chose to stay. Once every
+/// robot has stayed strictly after the last move, stay-stability (part
+/// of the kAsyncSafe contract) guarantees nobody ever moves again; in
+/// lockstep this fires exactly on Algorithm 1's uncounted terminal
+/// all-stay round. Under an adversary an all-stay round can simply mean
+/// every useful robot was blocked: time still passes, and the run ends
+/// only once the tree is explored (Section 4.2 has no return phase) or
+/// the schedule is exhausted.
 ///
-/// Accounting: an event time T is "counted" iff at least one move
-/// executes at T. A counted event mirrors one stepped round: idle =
-/// stay slots (including parked robots' slots), total_activations +=
-/// batch size, depth completion and hooks use round = T. Uncounted
-/// events contribute nothing, and result.rounds is the makespan — the
-/// last counted time.
-RunResult run_async_stepped(const Tree& tree, Algorithm& algorithm,
-                            const RunConfig& config,
-                            std::int64_t max_rounds) {
+/// Accounting: T is counted iff a move executes at T or an adversary is
+/// present. A counted T adds the batch size to total_activations and is
+/// shown to the observer; if a move executed it also adds the idle
+/// slots, flushes the reanchor counts, and feeds the trace and the
+/// invariant checker. result.rounds is the last counted T.
+RunResult run_stepped(const Tree& tree, Algorithm& algorithm,
+                      const RunConfig& config, std::int64_t max_rounds,
+                      const AsyncScheduler* clocks) {
   const std::int32_t k = config.num_robots;
-  const AsyncScheduler& schedule = *config.async;
   ExplorationState state(tree, k);
   RunResult result;
   result.robot_moves.assign(static_cast<std::size_t>(k), 0);
   std::vector<std::int64_t> unexplored_at_depth;
   init_depth_accounting(tree, result, unexplored_at_depth);
 
-  const std::vector<char> movable(static_cast<std::size_t>(k), 1);
+  std::vector<char> movable(static_cast<std::size_t>(k), 1);
   ExplorationView view(state, movable);
   algorithm.begin(view);
-  MoveSelector selector(state, movable);
 
-  std::vector<std::int64_t> next_time(static_cast<std::size_t>(k));
-  for (std::int32_t i = 0; i < k; ++i) {
-    const std::int64_t first = schedule.first_activation(i);
-    BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
-    next_time[static_cast<std::size_t>(i)] = first;
+  // Loop scratch, hoisted so a steady-state round allocates nothing:
+  // the selector is reset in place every round.
+  MoveSelector selector(state, movable);
+  std::vector<ReactiveAdversary::ObservedMove> observed;
+  // Robots activated at T, ascending. In lockstep without a schedule it
+  // is every robot for the whole run.
+  std::vector<std::int32_t> batch(static_cast<std::size_t>(k));
+  std::iota(batch.begin(), batch.end(), 0);
+  // Per-robot clocks only: each robot's next activation time.
+  std::vector<std::int64_t> next_time;
+  if (clocks != nullptr) {
+    next_time.resize(static_cast<std::size_t>(k));
+    for (std::int32_t i = 0; i < k; ++i) {
+      const std::int64_t first = clocks->first_activation(i);
+      BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
+      next_time[static_cast<std::size_t>(i)] = first;
+    }
   }
+  const bool adversary =
+      config.schedule != nullptr || config.reactive != nullptr;
+
   std::vector<std::int64_t> last_stay_time(static_cast<std::size_t>(k), -1);
   std::int64_t last_move_time = 0;
+  // Robots whose last stay is later than last_move_time; the run is
+  // stable when that is every robot.
+  std::int64_t stayed_since_move = 0;
 
-  std::vector<std::int32_t> slots;  // robots activated at T, ascending
-  slots.reserve(static_cast<std::size_t>(k));
-
-  for (;;) {
-    std::int64_t event_time = next_time[0];
-    for (std::int32_t i = 1; i < k; ++i) {
-      event_time = std::min(event_time, next_time[static_cast<std::size_t>(i)]);
+  for (std::int64_t now = 0;;) {
+    if (clocks == nullptr) {
+      ++now;
+    } else {
+      now = *std::min_element(next_time.begin(), next_time.end());
     }
     if (algorithm.finished(view)) break;
-    if (event_time > max_rounds) {
+    if (now > max_rounds) {
       result.hit_round_limit = true;
       break;
     }
+    if (adversary && state.exploration_complete()) break;
 
-    slots.clear();
-    for (std::int32_t i = 0; i < k; ++i) {
-      if (next_time[static_cast<std::size_t>(i)] != event_time) continue;
-      slots.push_back(i);
-      const std::int64_t next = schedule.next_activation(event_time, i);
-      BFDN_CHECK(next > event_time,
-                 "scheduler next_activation must advance time");
-      next_time[static_cast<std::size_t>(i)] = next;
-      state.set_robot_clock(i, event_time);
+    if (clocks == nullptr) {
+      if (config.schedule != nullptr) {
+        const std::int64_t round = now - 1;  // the schedule's t
+        if (config.schedule->exhausted(round)) break;
+        batch.clear();
+        for (std::int32_t i = 0; i < k; ++i) {
+          const bool allowed = config.schedule->allowed(round, i);
+          movable[static_cast<std::size_t>(i)] = allowed ? 1 : 0;
+          if (allowed) batch.push_back(i);
+        }
+      }
+      state.set_clock_base(now);
+    } else {
+      batch.clear();
+      for (std::int32_t i = 0; i < k; ++i) {
+        if (next_time[static_cast<std::size_t>(i)] != now) continue;
+        batch.push_back(i);
+        const std::int64_t next = clocks->next_activation(now, i);
+        BFDN_CHECK(next > now, "scheduler next_activation must advance time");
+        next_time[static_cast<std::size_t>(i)] = next;
+        state.set_robot_clock(i, now);
+      }
     }
 
     selector.reset();
-    algorithm.select_moves_subset(view, selector, slots);
+    algorithm.select_moves_subset(view, selector, batch);
+    if (config.reactive != nullptr) {
+      apply_reactive_blocks(*config.reactive, now - 1, state, selector,
+                            observed, result);
+    }
     const std::vector<MoveSelector::Pending>& pending =
         EngineAccess::pending(selector);
 
-    // MOVE over the whole batch, ascending robot index (the commit
-    // order group traversals rely on).
     std::int64_t moves = 0;
-    std::int64_t idle_slots = 0;
-    for (std::int32_t i : slots) {
+    std::int64_t stays = 0;
+    for (const std::int32_t i : batch) {
       const auto s = static_cast<std::size_t>(i);
-      if (apply_pending_move(tree, state, i, pending[s],
-                             unexplored_at_depth, result, event_time)) {
+      if (apply_pending_move(tree, state, i, pending[s], unexplored_at_depth,
+                             result, now)) {
         ++moves;
       } else {
-        ++idle_slots;
-        last_stay_time[s] = event_time;
+        ++stays;
+        if (last_stay_time[s] <= last_move_time) ++stayed_since_move;
+        last_stay_time[s] = now;
       }
     }
 
+    const bool counted = moves > 0 || adversary;
+    if (counted) {
+      result.rounds = now;
+      result.total_activations += static_cast<std::int64_t>(batch.size());
+    }
     if (moves > 0) {
-      last_move_time = event_time;
-      if (idle_slots > 0) {
+      last_move_time = now;
+      stayed_since_move = 0;
+      if (stays > 0) {
         ++result.rounds_with_idle;
-        result.idle_robot_rounds += idle_slots;
+        result.idle_robot_rounds += stays;
       }
-      result.total_activations += static_cast<std::int64_t>(slots.size());
       flush_reanchor_counts(selector, result);
-
-      // The hooks see counted events as rounds, exactly the stepped
-      // loop's view under round-robin.
       if (config.trace != nullptr) {
         TraceFrame frame;
-        frame.round = event_time;
+        frame.round = now;
         frame.positions.reserve(static_cast<std::size_t>(k));
         for (std::int32_t i = 0; i < k; ++i) {
           frame.positions.push_back(state.robot_pos(i));
         }
         config.trace->push_back(std::move(frame));
       }
-      if (config.observer != nullptr) {
-        config.observer->on_round(event_time, state);
-      }
-      if (config.check_invariants) {
-        check_open_node_coverage(tree, state, algorithm.anchors());
-      }
+    }
+    if (config.observer != nullptr && counted) {
+      config.observer->on_round(now, state);
+    }
+    if (config.check_invariants && moves > 0) {
+      check_open_node_coverage(tree, state, algorithm.anchors());
     }
 
-    // Natural termination: every robot has stayed strictly after the
-    // last move anywhere in the system.
-    bool stable = true;
-    for (std::int32_t i = 0; i < k; ++i) {
-      if (last_stay_time[static_cast<std::size_t>(i)] <= last_move_time) {
-        stable = false;
-        break;
-      }
-    }
-    if (stable) break;
+    if (!adversary && stayed_since_move == k) break;
   }
 
-  result.rounds = last_move_time;
   finalize_result(tree, state, result);
   return result;
 }
@@ -1004,195 +1086,29 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
                                       ? config.max_rounds
                                       : default_round_limit(tree);
 
-  // Per-robot-clock mode: only algorithms that advertise async-safety
-  // run the real event loop; a lockstep-only algorithm under an async
-  // config is auto-driven by the synchronous round-robin schedule,
-  // which is exactly the stepped loop below.
-  if (config.async != nullptr &&
-      algorithm.activation_granularity() ==
-          ActivationGranularity::kAsyncSafe) {
-    const bool fast_forward =
-        algorithm.transit_capability() ==
-            TransitCapability::kCommittedSegments &&
-        config.trace == nullptr && config.observer == nullptr &&
-        !config.check_invariants;
-    return fast_forward
-               ? run_async_fast_forward(tree, algorithm, config, max_rounds)
-               : run_async_stepped(tree, algorithm, config, max_rounds);
-  }
+  // Only algorithms that advertise async-safety run on per-robot
+  // clocks; a lockstep-only algorithm under an async config is
+  // auto-driven in lockstep, i.e. executed synchronously.
+  const AsyncScheduler* clocks =
+      algorithm.activation_granularity() == ActivationGranularity::kAsyncSafe
+          ? config.async
+          : nullptr;
 
-  // The fast-forward loop needs committed-segment hints from the
-  // algorithm and is incompatible with anything that must see (or
+  // The fast-forward loops need committed-segment hints from the
+  // algorithm and are incompatible with anything that must see (or
   // perturb) every round: per-round hooks and adversaries force the
-  // stepped loop.
+  // stepped loop, as does fast_forward = false, on either clock.
   if (config.fast_forward && config.schedule == nullptr &&
       config.reactive == nullptr && config.trace == nullptr &&
       config.observer == nullptr && !config.check_invariants &&
       algorithm.transit_capability() ==
           TransitCapability::kCommittedSegments) {
-    return run_fast_forward(tree, algorithm, config.num_robots, max_rounds);
+    return clocks != nullptr
+               ? run_async_fast_forward(tree, algorithm, config, max_rounds)
+               : run_fast_forward(tree, algorithm, config.num_robots,
+                                  max_rounds);
   }
-
-  ExplorationState state(tree, config.num_robots);
-  RunResult result;
-  result.robot_moves.assign(static_cast<std::size_t>(config.num_robots), 0);
-  // Per-depth discovery accounting for the completion timeline.
-  std::vector<std::int64_t> unexplored_at_depth;
-  init_depth_accounting(tree, result, unexplored_at_depth);
-
-  std::vector<char> movable(static_cast<std::size_t>(config.num_robots), 1);
-  ExplorationView view(state, movable);
-  algorithm.begin(view);
-
-  // Round-loop scratch, hoisted so a steady-state round allocates
-  // nothing: the selector and the mutable copy of its selections are
-  // reset in place every round.
-  MoveSelector selector(state, movable);
-  std::vector<MoveSelector::Pending> pending;
-  pending.reserve(static_cast<std::size_t>(config.num_robots));
-  std::vector<ReactiveAdversary::ObservedMove> observed;
-
-  for (std::int64_t t = 0;; ++t) {
-    if (algorithm.finished(view)) break;
-    if (t >= max_rounds) {
-      result.hit_round_limit = true;
-      break;
-    }
-
-    if (config.schedule != nullptr || config.reactive != nullptr) {
-      if (state.exploration_complete()) break;  // Section 4.2: no return
-    }
-    if (config.schedule != nullptr) {
-      if (config.schedule->exhausted(t)) break;
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        movable[static_cast<std::size_t>(i)] =
-            config.schedule->allowed(t, i) ? 1 : 0;
-      }
-    }
-
-    state.set_clock_base(t + 1);
-    selector.reset();
-    algorithm.select_moves(view, selector);
-
-    // Mutable copy of the round's selections: the reactive adversary may
-    // cancel some of them below.
-    pending.assign(EngineAccess::pending(selector).begin(),
-                   EngineAccess::pending(selector).end());
-
-    if (config.reactive != nullptr) {
-      observed.assign(static_cast<std::size_t>(config.num_robots),
-                      ReactiveAdversary::ObservedMove{});
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        auto& entry = observed[static_cast<std::size_t>(i)];
-        entry.robot = i;
-        const auto kind = pending[static_cast<std::size_t>(i)].kind;
-        entry.moves = kind == MoveSelector::Kind::kUp ||
-                      kind == MoveSelector::Kind::kDownExplored ||
-                      kind == MoveSelector::Kind::kDownDangling;
-        entry.takes_dangling =
-            kind == MoveSelector::Kind::kDownDangling;
-      }
-      const std::vector<char> blocked =
-          config.reactive->choose_blocked(t, observed);
-      BFDN_CHECK(static_cast<std::int32_t>(blocked.size()) ==
-                     config.num_robots,
-                 "reactive adversary returned a wrong-sized block mask");
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        if (!blocked[static_cast<std::size_t>(i)]) continue;
-        auto& p = pending[static_cast<std::size_t>(i)];
-        if (p.kind != MoveSelector::Kind::kNone &&
-            p.kind != MoveSelector::Kind::kStay) {
-          ++result.reactive_blocks;
-        }
-        p = {MoveSelector::Kind::kStay, kInvalidNode};
-      }
-      // Release reservations whose edge no robot will traverse anymore
-      // (a group-joining teammate may still carry a blocked reserver's
-      // edge, in which case the reservation must survive to be consumed
-      // by that commit).
-      for (const auto& [token, at] : EngineAccess::reservations(selector)) {
-        bool still_used = false;
-        for (const auto& p : pending) {
-          if (p.kind == MoveSelector::Kind::kDownDangling &&
-              p.target == token) {
-            still_used = true;
-            break;
-          }
-        }
-        if (!still_used) state.release_dangling(at, token);
-      }
-    }
-
-    bool any_move = false;
-    for (const auto& p : pending) {
-      if (p.kind == MoveSelector::Kind::kUp ||
-          p.kind == MoveSelector::Kind::kDownExplored ||
-          p.kind == MoveSelector::Kind::kDownDangling) {
-        any_move = true;
-        break;
-      }
-    }
-    if (!any_move) {
-      // This is Algorithm 1's termination test: the terminal round is
-      // not counted. (Any dangling reservation always comes with a
-      // move, and cancelled ones were already released above.)
-      if (config.schedule == nullptr && config.reactive == nullptr) {
-        break;
-      }
-      // Under break-downs an all-stay round can simply mean every useful
-      // robot was blocked; time still passes.
-      ++result.rounds;
-      for (const char m : movable) {
-        if (m) ++result.total_activations;
-      }
-      if (config.observer != nullptr) {
-        config.observer->on_round(result.rounds, state);
-      }
-      continue;
-    }
-
-    // Synchronous MOVE.
-    std::int64_t idle_movable = 0;
-    for (std::int32_t i = 0; i < config.num_robots; ++i) {
-      if (!apply_pending_move(tree, state, i,
-                              pending[static_cast<std::size_t>(i)],
-                              unexplored_at_depth, result,
-                              result.rounds + 1) &&
-          movable[static_cast<std::size_t>(i)]) {
-        ++idle_movable;
-      }
-    }
-    ++result.rounds;
-    for (const char m : movable) {
-      if (m) ++result.total_activations;
-    }
-    if (idle_movable > 0) {
-      ++result.rounds_with_idle;
-      result.idle_robot_rounds += idle_movable;
-    }
-    flush_reanchor_counts(selector, result);
-
-    if (config.trace != nullptr) {
-      TraceFrame frame;
-      frame.round = result.rounds;
-      frame.positions.reserve(static_cast<std::size_t>(config.num_robots));
-      for (std::int32_t i = 0; i < config.num_robots; ++i) {
-        frame.positions.push_back(state.robot_pos(i));
-      }
-      config.trace->push_back(std::move(frame));
-    }
-
-    if (config.observer != nullptr) {
-      config.observer->on_round(result.rounds, state);
-    }
-
-    if (config.check_invariants) {
-      check_open_node_coverage(tree, state, algorithm.anchors());
-    }
-  }
-
-  finalize_result(tree, state, result);
-  return result;
+  return run_stepped(tree, algorithm, config, max_rounds, clocks);
 }
 
 std::int64_t default_round_limit(const Tree& tree) {

@@ -6,7 +6,9 @@
 // through MoveSelector (mirroring Algorithm 1's "for i = 1 to k"
 // decision loop, including exclusive reservation of dangling edges —
 // Claim 2 holds by construction); (2) all selected moves execute
-// synchronously and the partially explored tree is updated.
+// synchronously and the partially explored tree is updated. Under
+// per-robot clocks (AsyncScheduler) the same two phases run over the
+// robots activated at each virtual time.
 #pragma once
 
 #include <cstdint>
@@ -195,8 +197,10 @@ enum class TransitCapability : std::uint8_t {
 /// state, (3) stay-stability: a robot that selected stay selects stay
 /// again at its next activation if no move executed in between, and
 /// (4) finished() left at the default. Lockstep-only algorithms under
-/// an async RunConfig are auto-driven by the round-robin schedule,
-/// i.e. executed synchronously.
+/// an async RunConfig are auto-driven in lockstep: the stepped loop's
+/// lockstep source activates every robot every round, i.e. the run is
+/// synchronous whatever the scheduler. Either way a run takes one of
+/// three loops (see RunConfig).
 enum class ActivationGranularity : std::uint8_t {
   kLockstep,
   kAsyncSafe,
@@ -252,9 +256,9 @@ class Algorithm {
   /// anchor-based.
   virtual std::vector<NodeId> anchors() const;
 
-  /// Opt-in to the per-robot-clock engine (RunConfig::async). Default:
-  /// kLockstep — the engine then drives the algorithm round-robin
-  /// (synchronously) even when an async scheduler is configured.
+  /// Opt-in to per-robot clocks (RunConfig::async). Default: kLockstep —
+  /// the engine then drives the algorithm in lockstep (synchronously)
+  /// even when an async scheduler is configured.
   virtual ActivationGranularity activation_granularity() const;
 
   /// Opt-in to the engine's fast-forward mode. Default: kStepOnly.
@@ -275,11 +279,15 @@ class Algorithm {
                             TransitPlan& plan);
 
   /// Like select_moves but only for the given robots (ascending robot
-  /// indices); all other robots are mid-walk or parked and make no
-  /// selection. Must behave exactly as select_moves restricted to
-  /// `robots` — in particular dangling-edge reservation order follows
-  /// the given index order, preserving Claim 2. Only called when
-  /// transit_capability() is kCommittedSegments.
+  /// indices); all other robots are mid-walk, parked or not activated
+  /// and make no selection. Must behave exactly as select_moves
+  /// restricted to `robots` — in particular dangling-edge reservation
+  /// order follows the given index order, preserving Claim 2. The
+  /// stepped loop calls it every round; for a lockstep-only algorithm
+  /// `robots` is then exactly the movable set, so the default, which
+  /// forwards to select_moves, is exact. Algorithms that are
+  /// kCommittedSegments or kAsyncSafe get other batches and must
+  /// override it.
   virtual void select_moves_subset(const ExplorationView& view,
                                    MoveSelector& selector,
                                    const std::vector<std::int32_t>& robots);
@@ -301,6 +309,10 @@ class RoundObserver {
   virtual void on_round(std::int64_t round, const ExplorationState& state) = 0;
 };
 
+/// A run takes one of three loops, chosen by run_exploration:
+/// run_fast_forward (lockstep) or run_async_fast_forward (per-robot
+/// clocks) when `fast_forward` holds and nothing needs every round, and
+/// otherwise the stepped loop, which serves both clocks (docs/MODEL.md).
 struct RunConfig {
   std::int32_t num_robots = 1;
   /// 0 = automatic limit (comfortably above the 3*D*n termination bound).
@@ -313,10 +325,10 @@ struct RunConfig {
   ReactiveAdversary* reactive = nullptr;
   /// Per-robot-clock activation source; nullptr = the synchronous
   /// model (all robots activated every round). Mutually exclusive with
-  /// `schedule` and `reactive`. Algorithms advertising kAsyncSafe run
-  /// through the async event loop; kLockstep algorithms are auto-driven
-  /// by the round-robin schedule (i.e. the scheduler is ignored and the
-  /// run is synchronous; see docs/MODEL.md).
+  /// `schedule` and `reactive`. Algorithms advertising kAsyncSafe run on
+  /// these clocks; kLockstep algorithms are auto-driven in lockstep
+  /// (i.e. the scheduler is ignored and the run is synchronous; see
+  /// docs/MODEL.md).
   AsyncScheduler* async = nullptr;
   /// If non-null, receives one frame per executed round.
   std::vector<TraceFrame>* trace = nullptr;
@@ -324,10 +336,11 @@ struct RunConfig {
   RoundObserver* observer = nullptr;
   /// Event-driven fast-forward: between events the engine executes each
   /// robot's committed walk in one batched update instead of stepping
-  /// every round. Results are identical to the stepped engine. Auto-
-  /// disabled (falls back to stepping) when the algorithm is step-only,
-  /// an observer/trace/invariant-checker needs per-round state, or a
-  /// break-down schedule / reactive adversary can interrupt transits.
+  /// every round. Results are identical to the stepped loop; false
+  /// forces the stepped loop on either clock. Auto-disabled (falls back
+  /// to stepping) when the algorithm is step-only, an observer/trace/
+  /// invariant-checker needs per-round state, or a break-down schedule
+  /// / reactive adversary can interrupt transits.
   bool fast_forward = true;
 };
 

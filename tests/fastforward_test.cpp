@@ -391,6 +391,45 @@ TEST(FastForward, ObserverForcesSteppedBitExactRounds) {
   EXPECT_EQ(with_ff, run_observed(false));
 }
 
+TEST(FastForward, FlagOffStepsOnBothClocks) {
+  // fast_forward = false takes the stepped loop under per-robot clocks
+  // too. The stepped loop never asks for a transit plan; both
+  // fast-forward loops plan after every selection. Results agree.
+  class CountingBfdn : public BfdnAlgorithm {
+   public:
+    using BfdnAlgorithm::BfdnAlgorithm;
+    void plan_transit(const ExplorationView& view, std::int32_t robot,
+                      TransitPlan& plan) override {
+      ++plans;
+      BfdnAlgorithm::plan_transit(view, robot, plan);
+    }
+    std::int64_t plans = 0;
+  };
+  const Tree tree = make_spider(9, 15);
+  FixedRateScheduler fixed_rate(8, 2, 2);
+  for (AsyncScheduler* clocks : {static_cast<AsyncScheduler*>(nullptr),
+                                 static_cast<AsyncScheduler*>(&fixed_rate)}) {
+    SCOPED_TRACE(clocks == nullptr ? std::string("sync") : clocks->name());
+    const auto run = [&](bool fast_forward, std::int64_t& plans) {
+      CountingBfdn algorithm(8);
+      RunConfig config;
+      config.num_robots = 8;
+      config.async = clocks;
+      config.fast_forward = fast_forward;
+      const RunResult result = run_exploration(tree, algorithm, config);
+      plans = algorithm.plans;
+      return result;
+    };
+    std::int64_t stepped_plans = -1;
+    std::int64_t ff_plans = -1;
+    const RunResult stepped = run(false, stepped_plans);
+    const RunResult ff = run(true, ff_plans);
+    EXPECT_EQ(stepped_plans, 0);
+    EXPECT_GT(ff_plans, 0);
+    expect_equal_runs(ff, stepped);
+  }
+}
+
 TEST(FastForward, FuzzSmokeWithDifferentialCheck) {
   // The oracle now runs the fast-forward-vs-stepped differential on
   // every non-breakdown case; a healthy engine produces no
