@@ -73,6 +73,11 @@ enum class RequestType : std::uint8_t {
 /// Hard bound on expanded campaign members per request.
 constexpr std::size_t kMaxCampaignMembers = 64;
 
+/// Hard bound on the nodes of a request's tree, far above every tree a
+/// test, tool or benchmark workload serves: parse_request rejects a
+/// recipe that would build more, so no request allocates without bound.
+constexpr std::int64_t kMaxTreeNodes = 1000000;
+
 /// Hard bound on one request line, terminator excluded. The largest
 /// legal request is a campaign at kMaxCampaignMembers: 64 twenty-digit
 /// algo_seeds plus every run field at its widest serializes to under

@@ -223,9 +223,11 @@ TEST(LineServerLimitsTest, WidestLegalRequestFitsTheCapWithMargin) {
   constexpr std::uint64_t kWidest = std::numeric_limits<std::uint64_t>::max();
   ServiceRequest widest = run_request("", kWidest);
   widest.type = RequestType::kCampaign;
+  // The largest fixed-depth tree parse_request admits; fixed-depth
+  // ignores arms, so any int32 is legal there.
   widest.recipe.family = "fixed-depth";
-  widest.recipe.nodes = std::numeric_limits<std::int64_t>::max();
-  widest.recipe.depth = std::numeric_limits<std::int32_t>::max();
+  widest.recipe.nodes = kMaxTreeNodes;
+  widest.recipe.depth = static_cast<std::int32_t>(kMaxTreeNodes - 1);
   widest.recipe.arms = std::numeric_limits<std::int32_t>::max();
   widest.algo.options.shortcut_reanchor = true;
   widest.algo.options.depth_cap = std::numeric_limits<std::int32_t>::max();

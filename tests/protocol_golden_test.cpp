@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "service/protocol.h"
+#include "support/strings.h"
 
 namespace bfdn {
 namespace {
@@ -198,6 +199,46 @@ const ErrorPin kErrorPins[] = {
      "ks must be an array"},
     {R"({"type":"segment_fill","bytes":1})",
      "segment_fill bytes out of range"},
+    {R"({"k":4294967297})",
+     "JsonValue: not an int32: 4294967297"},
+    {R"({"depth":4294967301})",
+     "JsonValue: not an int32: 4294967301"},
+    {R"({"depth":-4294967295})",
+     "JsonValue: not an int32: -4294967295"},
+    {R"({"family":"comb","arms":4294967304})",
+     "JsonValue: not an int32: 4294967304"},
+    {R"({"depth_cap":4294967295})",
+     "JsonValue: not an int32: 4294967295"},
+    {R"({"algo":"bfdn-ell","ell":4294967298})",
+     "JsonValue: not an int32: 4294967298"},
+    {R"({"async":"fixed-rate","async_slow":4294967297})",
+     "JsonValue: not an int32: 4294967297"},
+    {R"({"type":"campaign","ks":[4294967297]})",
+     "k must be in [1, 65536]"},
+    {R"({"type":"ship_segment","port":4294967376})",
+     "JsonValue: not an int32: 4294967376"},
+    {R"({"type":"ship_segment","peer":4294967296})",
+     "JsonValue: not an int32: 4294967296"},
+    {R"({"type":"ship_segment","port":80,"from":4294967296})",
+     "JsonValue: not an int32: 4294967296"},
+    {R"({"type":"ship_segment","to":4294967297})",
+     "JsonValue: not an int32: 4294967297"},
+    {R"({"family":"fixed-depth","nodes":5,"depth":40})",
+     "fixed-depth needs nodes >= depth + 1"},
+    {R"({"family":"fixed-depth","nodes":5,"depth":0})",
+     "fixed-depth with depth 0 needs nodes == 1"},
+    {R"({"family":"cte-hard","arms":1})",
+     "cte-hard needs arms >= 2"},
+    {R"({"family":"cte-hard","depth":0})",
+     "cte-hard needs depth >= 1"},
+    {R"({"family":"binary","depth":60})",
+     "tree exceeds 1000000 nodes"},
+    {R"({"family":"path","nodes":1000001})",
+     "tree exceeds 1000000 nodes"},
+    {R"({"family":"comb","arms":1000,"depth":1000})",
+     "tree exceeds 1000000 nodes"},
+    {R"({"family":"cte-hard","arms":2147483647,"depth":2147483647})",
+     "tree exceeds 1000000 nodes"},
 };
 
 // clang-format on
@@ -258,6 +299,63 @@ TEST(ProtocolGolden, RejectionTextIsPinned) {
     EXPECT_EQ(message_of(error), pin.error) << pin.line;
   }
   if (recording()) std::printf("};\n");
+}
+
+TEST(RecipeAdmission, EveryAcceptedRecipeBuildsWithinTheNodeCap) {
+  // Whatever parse_request admits, TreeRecipe::build must build: a
+  // refusal after admission would cost a queue slot and answer with
+  // build-specific text. Over a small grid of every family.
+  const std::int64_t node_counts[] = {1, 2, 3, 5, 8, 40};
+  const std::int32_t depths[] = {0, 1, 2, 5, 12};
+  const std::int32_t arm_counts[] = {1, 2, 3, 8};
+  std::int64_t accepted = 0;
+  for (const char* family :
+       {"random", "path", "star", "binary", "spider", "caterpillar", "comb",
+        "broom", "cte-hard", "fixed-depth"}) {
+    for (const std::int64_t nodes : node_counts) {
+      for (const std::int32_t depth : depths) {
+        for (const std::int32_t arms : arm_counts) {
+          const std::string line = str_format(
+              R"({"family":"%s","nodes":%lld,"depth":%d,"arms":%d})", family,
+              static_cast<long long>(nodes), depth, arms);
+          ServiceRequest request;
+          std::string error;
+          if (!parse_request(line, request, &error)) continue;
+          ++accepted;
+          SCOPED_TRACE(line);
+          std::int64_t built = 0;
+          EXPECT_NO_THROW(built = request.recipe.build().num_nodes());
+          EXPECT_LE(built, kMaxTreeNodes);
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 900);  // most of the 1200 recipes are buildable
+}
+
+TEST(RecipeAdmission, NodeCapIsTheBuiltSize) {
+  // The cap counts the nodes the family builds, not the nodes member.
+  for (const char* line :
+       {R"({"family":"binary","depth":18})",
+        R"({"family":"comb","arms":1000,"depth":999})",
+        R"({"family":"path","nodes":1000000})",
+        R"({"family":"spider","nodes":999999,"arms":3})"}) {
+    ServiceRequest request;
+    std::string error;
+    EXPECT_TRUE(parse_request(line, request, &error)) << line << error;
+  }
+  for (const char* line :
+       {R"({"family":"binary","depth":19})",
+        R"({"family":"comb","arms":1001,"depth":999})",
+        R"({"family":"spider","nodes":5,"arms":1000000})",
+        R"({"family":"caterpillar","nodes":5,"arms":1000000})",
+        R"({"family":"broom","nodes":5,"depth":1000000})",
+        R"({"family":"cte-hard","arms":65537,"depth":8})"}) {
+    ServiceRequest request;
+    std::string error;
+    EXPECT_FALSE(parse_request(line, request, &error)) << line;
+    EXPECT_EQ(error, "tree exceeds 1000000 nodes") << line;
+  }
 }
 
 TEST(ProtocolGolden, WrongTypedIdOrTypeIsRejected) {
