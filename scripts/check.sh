@@ -164,6 +164,10 @@ echo "== batch fuzz smoke: every case batch-equivalence checked =="
 ./build/tools/bfdn_fuzz --budget-s=10 --seed=3 --jobs="$(nproc)" \
   --batch-p=1.0
 
+echo "== break-down fuzz smoke: every case under a break-down schedule =="
+./build/tools/bfdn_fuzz --budget-s=10 --seed=4 --jobs="$(nproc)" \
+  --schedule-p=1.0
+
 # Each smoke's JSON document is kept in build/bench-smoke/<bench>.json.
 mkdir -p build/bench-smoke
 
