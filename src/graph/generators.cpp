@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "support/check.h"
@@ -406,6 +407,57 @@ Tree make_family_tree(const std::string& family, std::int64_t nodes,
   if (family == "random") return make_random_leafy(nodes, 5, rng);
   BFDN_REQUIRE(false, "unknown --family " + family);
   return make_path(1);
+}
+
+const char* family_tree_refusal(std::string_view family, std::int64_t nodes,
+                                std::int32_t depth, std::int32_t arms) {
+  if (family == "fixed-depth") {
+    if (depth == 0 && nodes != 1) {
+      return "fixed-depth with depth 0 needs nodes == 1";
+    }
+    if (nodes < std::int64_t{depth} + 1) {
+      return "fixed-depth needs nodes >= depth + 1";
+    }
+  }
+  if (family == "cte-hard") {
+    if (arms < 2) return "cte-hard needs arms >= 2";
+    if (depth < 1) return "cte-hard needs depth >= 1";
+  }
+  return nullptr;
+}
+
+std::int64_t family_tree_nodes(std::string_view family, std::int64_t nodes,
+                               std::int32_t depth, std::int32_t arms,
+                               std::int64_t cap) {
+  const std::int64_t over = cap + 1;
+  // x * y for x >= 0 and y >= 1, or `over` if that is more.
+  const auto product = [over](std::int64_t x, std::int64_t y) {
+    return x > over / y ? over : std::min(over, x * y);
+  };
+  const std::int64_t d = depth;
+  const std::int64_t a = arms;
+  if (family == "binary") {
+    return d >= 62 ? over : std::min(over, (std::int64_t{2} << d) - 1);
+  }
+  if (family == "spider") {
+    return std::min(over, 1 + product(a, std::max<std::int64_t>(1, nodes / a)));
+  }
+  if (family == "caterpillar") {
+    return product(std::max<std::int64_t>(1, nodes / (a + 1)), a + 1);
+  }
+  if (family == "comb") return product(a, d + 1);
+  if (family == "broom") {
+    return std::min(over, d + 1 + std::max<std::int64_t>(1, nodes - d - 1));
+  }
+  if (family == "cte-hard") {
+    // Each of `depth` phases hangs a complete binary gadget of depth
+    // ceil(log2 arms) below its hub, then the next hub.
+    const auto gadget_depth =
+        static_cast<int>(std::bit_width(static_cast<std::uint64_t>(a - 1)));
+    return std::min(over,
+                    1 + product(d, (std::int64_t{2} << gadget_depth) - 1));
+  }
+  return std::min(over, nodes);  // path, star, fixed-depth, random
 }
 
 }  // namespace bfdn

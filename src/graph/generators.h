@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/tree.h"
@@ -96,6 +97,19 @@ Tree make_lopsided(std::int32_t depth);
 Tree make_family_tree(const std::string& family, std::int64_t nodes,
                       std::int32_t depth, std::int32_t arms,
                       std::uint64_t seed);
+
+/// Why make_family_tree would refuse a known family with these
+/// parameters (given nodes >= 1, depth >= 0 and arms >= 1), or nullptr
+/// if it builds them. The text is stable: servers send it to clients.
+const char* family_tree_refusal(std::string_view family, std::int64_t nodes,
+                                std::int32_t depth, std::int32_t arms);
+
+/// The number of nodes make_family_tree builds for parameters it
+/// accepts, or `cap` + 1 if that is more (so a size check costs no
+/// allocation and no product overflows). `cap` must be below 2^62.
+std::int64_t family_tree_nodes(std::string_view family, std::int64_t nodes,
+                               std::int32_t depth, std::int32_t arms,
+                               std::int64_t cap);
 
 /// Named standard families used by test/bench sweeps.
 struct NamedTree {

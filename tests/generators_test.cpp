@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "graph/generators.h"
 #include "support/check.h"
@@ -188,6 +190,53 @@ TEST(GeneratorsTest, ZooIsDiverseAndDeterministic) {
     EXPECT_EQ(zoo[i].tree.num_nodes(), zoo2[i].tree.num_nodes());
     EXPECT_EQ(zoo[i].tree.depth(), zoo2[i].tree.depth());
   }
+}
+
+TEST(GeneratorsTest, FamilyRefusalAndSizeMatchTheBuilder) {
+  // family_tree_refusal names exactly the parameters make_family_tree
+  // throws on, and family_tree_nodes is the built tree's size.
+  constexpr std::int64_t kCap = 1 << 20;
+  std::int64_t built = 0;
+  for (const char* family :
+       {"random", "path", "star", "binary", "spider", "caterpillar", "comb",
+        "broom", "cte-hard", "fixed-depth"}) {
+    for (const std::int64_t nodes : {1, 2, 3, 5, 8, 40}) {
+      for (const std::int32_t depth : {0, 1, 2, 5, 9}) {
+        for (const std::int32_t arms : {1, 2, 3, 5, 8}) {
+          SCOPED_TRACE(std::string(family) + " nodes=" +
+                       std::to_string(nodes) + " depth=" +
+                       std::to_string(depth) + " arms=" +
+                       std::to_string(arms));
+          if (family_tree_refusal(family, nodes, depth, arms) != nullptr) {
+            EXPECT_THROW(make_family_tree(family, nodes, depth, arms, 1),
+                         CheckError);
+            continue;
+          }
+          const Tree tree = make_family_tree(family, nodes, depth, arms, 1);
+          EXPECT_EQ(family_tree_nodes(family, nodes, depth, arms, kCap),
+                    tree.num_nodes());
+          ++built;
+        }
+      }
+    }
+  }
+  EXPECT_GT(built, 1000);
+}
+
+TEST(GeneratorsTest, FamilyTreeNodesSaturatesPastTheCap) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_EQ(family_tree_nodes("binary", 1, 19, 1, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("binary", 1, 18, 1, 1000000), 524287);
+  EXPECT_EQ(family_tree_nodes("binary", 1, kMax, 1, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("comb", 1, kMax, kMax, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("cte-hard", 1, kMax, kMax, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("caterpillar", 1, 0, kMax, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("spider", 1, 0, kMax, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("broom", 1, kMax, 1, 1000000), 1000001);
+  EXPECT_EQ(family_tree_nodes("path",
+                              std::numeric_limits<std::int64_t>::max(), 0, 1,
+                              1000000),
+            1000001);
 }
 
 }  // namespace
