@@ -148,8 +148,9 @@ void BfdnAlgorithm::select_moves(const ExplorationView& view,
 void BfdnAlgorithm::select_moves_subset(
     const ExplorationView& view, MoveSelector& selector,
     const std::vector<std::int32_t>& robots) {
-  // Fast-forward never runs under an adversary, so every listed robot
-  // is movable; the index-order walk keeps Claim 2's reservation order.
+  // The engine lists only movable robots (under a break-down schedule
+  // the stepped loop's batch is the movable set); the index-order walk
+  // keeps Claim 2's reservation order.
   for (std::int32_t i : robots) select_one(view, selector, i);
 }
 
