@@ -273,6 +273,99 @@ TEST(FastForward, DeepCellsAgreeIncludingMidWalkCaps) {
   }
 }
 
+/// The trees the benchmark serves, built through make_family_tree with
+/// the served recipes: miss-deep's caterpillar, spider and fixed-depth
+/// at n=3000 (k 16 and 64), and campaign-sweep's n=700 spider,
+/// fixed-depth and random trees under the random policy. Beside them
+/// the shapes the lockstep fast-forward treats specially: a depth-capped
+/// BFDN_1 run (robots park through kStayForever) and k=1.
+std::vector<FfCell> make_serving_cells() {
+  std::vector<FfCell> cells;
+  const auto served = [](const std::string& family, std::int64_t nodes,
+                         std::uint64_t seed) {
+    return make_family_tree(family, nodes, 40, family == "spider" ? 8 : 3,
+                            seed);
+  };
+  for (const std::string family : {"caterpillar", "spider", "fixed-depth"}) {
+    const Tree tree = served(family, 3000, 48611);
+    for (const std::int32_t k : {16, 64}) {
+      cells.push_back({"miss-deep/" + family + "/k" + std::to_string(k), tree,
+                       bfdn_spec(k), ScheduleSpec{}});
+    }
+  }
+  for (const std::string family : {"spider", "fixed-depth", "random"}) {
+    const Tree tree = served(family, 700, 9203);
+    for (const std::int32_t k : {16, 64}) {
+      BfdnOptions options;
+      options.policy = ReanchorPolicy::kRandom;
+      options.seed = 270001;
+      cells.push_back({"campaign/" + family + "/random/k" + std::to_string(k),
+                       tree, bfdn_spec(k, options), ScheduleSpec{}});
+    }
+  }
+  for (const std::int32_t cap : {12, 30}) {
+    BfdnOptions options;
+    options.depth_cap = cap;
+    cells.push_back({"fixed-depth3000/bfdn-cap" + std::to_string(cap) + "/k16",
+                     served("fixed-depth", 3000, 48611), bfdn_spec(16, options),
+                     ScheduleSpec{}});
+  }
+  for (const std::string family : {"caterpillar", "spider", "random"}) {
+    cells.push_back({"k1/" + family, served(family, 700, 9203), bfdn_spec(1),
+                     ScheduleSpec{}});
+  }
+  return cells;
+}
+
+TEST(FastForward, ServingShapesAgreeFieldByField) {
+  for (const FfCell& cell : make_serving_cells()) {
+    SCOPED_TRACE(cell.name);
+    const RunResult full = run_cell(cell, /*fast_forward=*/true);
+    EXPECT_TRUE(full.complete);
+    expect_equal_runs(full, run_cell(cell, /*fast_forward=*/false));
+    // A cap inside the first descent and one inside the last return
+    // climb, both cutting a committed walk.
+    for (const std::int64_t cap : {std::int64_t{29}, full.rounds - 3}) {
+      SCOPED_TRACE(testing::Message() << "cap=" << cap);
+      const RunResult capped = run_cell(cell, /*fast_forward=*/true, cap);
+      EXPECT_TRUE(capped.hit_round_limit);
+      expect_equal_runs(capped, run_cell(cell, /*fast_forward=*/false, cap));
+    }
+  }
+}
+
+TEST(FastForward, RoundRobinFastForwardAsksItsScheduler) {
+  // The round-robin fast-forward must run on the scheduler it is given
+  // (so OracleCheck::kAsyncEquivalence compares two paths, not one path
+  // with itself) and still reproduce the lockstep run field by field.
+  class CountingRoundRobin : public RoundRobinScheduler {
+   public:
+    std::int64_t next_activation(std::int64_t now,
+                                 std::int32_t robot) const override {
+      ++calls;
+      return RoundRobinScheduler::next_activation(now, robot);
+    }
+    std::int64_t nth_activation(std::int64_t now, std::int32_t robot,
+                                std::int64_t n) const override {
+      ++calls;
+      return RoundRobinScheduler::nth_activation(now, robot, n);
+    }
+    mutable std::int64_t calls = 0;
+  };
+  for (const FfCell& cell : make_deep_cells()) {
+    SCOPED_TRACE(cell.name);
+    const RunResult lockstep = run_cell(cell, /*fast_forward=*/true);
+    BfdnAlgorithm algorithm(cell.algo.k);
+    CountingRoundRobin round_robin;
+    RunConfig config;
+    config.num_robots = cell.algo.k;
+    config.async = &round_robin;
+    const RunResult async = run_exploration(cell.tree, algorithm, config);
+    EXPECT_GT(round_robin.calls, 0);
+    expect_equal_runs(async, lockstep);
+  }
+}
+
 TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
   // The served async recipe (fixed rate, period 2, two slow robots):
   // the async fast-forward applies each committed walk once, when it is
