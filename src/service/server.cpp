@@ -3,6 +3,8 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "graph/generators.h"
+#include "service/protocol.h"
 #include "store/segment.h"
 #include "support/check.h"
 #include "support/json.h"
@@ -58,7 +60,12 @@ std::string ServiceServer::handle(const ServiceRequest& request,
     case RequestType::kCampaign:
       break;
   }
-  if (request.recipe.nodes > options_.max_nodes) {
+  // The size of the tree the recipe builds: families sized by depth or
+  // arms ignore `nodes`. parse_request bounds it by kMaxTreeNodes, so
+  // the count is exact.
+  if (family_tree_nodes(request.recipe.family, request.recipe.nodes,
+                        request.recipe.depth, request.recipe.arms,
+                        kMaxTreeNodes) > options_.max_nodes) {
     return error_response(
         request.id,
         str_format("nodes exceeds server limit %lld",

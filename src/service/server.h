@@ -31,7 +31,7 @@ struct ServerOptions {
   std::size_t cache_capacity = 1024;
   /// Suggested client back-off in backpressure rejections.
   std::int32_t retry_after_ms = 20;
-  /// Admission guard on request tree sizes.
+  /// Admission guard on the number of nodes a request's tree builds.
   std::int64_t max_nodes = 1000000;
   /// Durable result store directory; empty = in-memory cache only.
   /// Non-empty runs boot recovery here and makes the cache a

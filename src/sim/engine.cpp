@@ -327,7 +327,7 @@ bool apply_pending_move(const Tree& tree, ExplorationState& state,
 /// ancestor-closed, so every step is an explored down-move, and it
 /// sets no flag (every explored non-root node's down-edge was
 /// traversed when it was discovered). Near-O(1) amortized; used by the
-/// fast-forward engine, which executes walks eagerly.
+/// fast-forward loop, which executes walks eagerly.
 void apply_walk(const Tree& tree, ExplorationState& state,
                 std::int32_t robot, const TransitPlan& plan,
                 RunResult& result) {
@@ -350,7 +350,7 @@ void apply_walk(const Tree& tree, ExplorationState& state,
 /// The nodes a committed walk from `from` visits, in order (excluding
 /// `from`), written into `out`. O(plan.steps); for the one case that
 /// steps a walk one node at a time: the round limit cutting a walk
-/// short in either fast-forward engine (sync or async).
+/// short in the fast-forward loop (on either clock).
 void walk_path(const Tree& tree, NodeId from, const TransitPlan& plan,
                std::vector<NodeId>& out) {
   out.clear();
@@ -386,176 +386,6 @@ void apply_walk_step(const Tree& tree, ExplorationState& state,
   }
   state.set_robot_pos(robot, next);
   ++result.robot_moves[static_cast<std::size_t>(robot)];
-}
-
-// Event-driven fast-forward execution (run_fast_forward).
-// Robots alternate between "event rounds", where they run the
-// algorithm's real selection logic, and committed walks
-// (TransitPlan::kWalk), which the engine executes in one apply_walk
-// call the moment they are planned: the robot's position, the
-// first-traversal flags and its move counter advance over the whole
-// segment, and the robot is parked until its wake round. Because a
-// committed-segment algorithm decides each robot's move from shared
-// exploration state plus that robot's own private state only, and
-// transit moves touch no shared state another robot's decision reads
-// (traversal flags are write-only bookkeeping; dangling counts only
-// ever decrease), executing the walk eagerly is indistinguishable from
-// interleaving it with the other robots' rounds — the stepped engine
-// would produce exactly the same moves. The round counter advances analytically over
-// the gaps between events; every accounting rule below mirrors one
-// line of the stepped loop (see docs/MODEL.md).
-RunResult run_fast_forward(const Tree& tree, Algorithm& algorithm,
-                           std::int32_t k, std::int64_t max_rounds) {
-  ExplorationState state(tree, k);
-  RunResult result;
-  result.robot_moves.assign(static_cast<std::size_t>(k), 0);
-  std::vector<std::int64_t> unexplored_at_depth;
-  init_depth_accounting(tree, result, unexplored_at_depth);
-
-  const std::vector<char> movable(static_cast<std::size_t>(k), 1);
-  ExplorationView view(state, movable);
-  algorithm.begin(view);
-  MoveSelector selector(state, movable);
-
-  // wake[i]: next round in which robot i runs selection; parked robots
-  // (kStayForever, or walks capped by the round limit) get the sentinel
-  // max_rounds + 1 and never wake. All robots start awake at round 1.
-  std::vector<std::int64_t> wake(static_cast<std::size_t>(k), 1);
-  // Robots parked by kStayForever (they idle in every remaining round;
-  // a capped walker moves in every remaining round instead).
-  std::int64_t num_parked = 0;
-  std::vector<std::int32_t> woken;
-  woken.reserve(static_cast<std::size_t>(k));
-  // Nodes of a walk the round limit cuts short (reused across events).
-  std::vector<NodeId> capped_walk;
-
-  for (;;) {
-    // The next event: the earliest wake over all robots (max_rounds + 1
-    // when every robot is parked or capped).
-    std::int64_t event_round = max_rounds + 1;
-    for (const std::int64_t w : wake) event_round = std::min(event_round, w);
-
-    // Gap rounds (result.rounds, event_round): every non-parked robot is
-    // mid-walk and moves in each of them, so they all count; parked
-    // robots stay, which is exactly the stepped loop's idle accounting.
-    const std::int64_t gap_end = std::min(event_round - 1, max_rounds);
-    if (gap_end > result.rounds) {
-      const std::int64_t gap = gap_end - result.rounds;
-      if (num_parked > 0) {
-        result.rounds_with_idle += gap;
-        result.idle_robot_rounds += gap * num_parked;
-      }
-      result.rounds = gap_end;
-    }
-    // Either all robots are parked forever (stepped: the next round is
-    // all-stay or past the limit) or every remaining walk was capped at
-    // the limit; hit_round_limit is derived after the loop.
-    if (event_round > max_rounds) break;
-    if (algorithm.finished(view)) break;
-
-    // Branch-free compaction of the robots waking now (the buffer keeps
-    // capacity k, so the resizes never allocate).
-    woken.resize(static_cast<std::size_t>(k));
-    std::size_t num_woken = 0;
-    for (std::int32_t i = 0; i < k; ++i) {
-      woken[num_woken] = i;
-      num_woken += static_cast<std::size_t>(
-          wake[static_cast<std::size_t>(i)] == event_round);
-    }
-    woken.resize(num_woken);
-
-    // Selection, restricted to the woken robots; everyone else is
-    // mid-walk (their move this round was already executed) or parked.
-    state.set_clock_base(event_round);
-    selector.reset();
-    algorithm.select_moves_subset(view, selector, woken);
-    const std::vector<MoveSelector::Pending>& pending =
-        EngineAccess::pending(selector);
-
-    bool any_move = false;
-    for (std::int32_t i : woken) {
-      const auto kind = pending[static_cast<std::size_t>(i)].kind;
-      if (kind == MoveSelector::Kind::kUp ||
-          kind == MoveSelector::Kind::kDownExplored ||
-          kind == MoveSelector::Kind::kDownDangling) {
-        any_move = true;
-        break;
-      }
-    }
-    if (!any_move) {
-      // A mid-walk robot (wake beyond this round) still moves this
-      // round; only if nobody moves is this Algorithm 1's terminal
-      // all-stay round, which is not counted. Every non-parked robot
-      // wakes at event_round or later, and the woken ones wake exactly
-      // then, so the others are the walkers.
-      const auto walkers = static_cast<std::int64_t>(k) - num_parked -
-                           static_cast<std::int64_t>(woken.size());
-      if (walkers == 0) break;
-    }
-
-    // Synchronous MOVE for the woken robots (mid-walk robots' moves for
-    // this round were executed when their walk was planned).
-    std::int64_t idle_movable = 0;
-    for (std::int32_t i : woken) {
-      if (!apply_pending_move(tree, state, i,
-                              pending[static_cast<std::size_t>(i)],
-                              unexplored_at_depth, result, event_round)) {
-        ++idle_movable;
-      }
-    }
-    result.rounds = event_round;
-    idle_movable += num_parked;
-    if (idle_movable > 0) {
-      ++result.rounds_with_idle;
-      result.idle_robot_rounds += idle_movable;
-    }
-    flush_reanchor_counts(selector, result);
-
-    // Re-plan every woken robot from the post-MOVE state and execute
-    // committed walks immediately; the walk's steps occupy rounds
-    // event_round + 1 .. event_round + steps.
-    for (std::int32_t i : woken) {
-      TransitPlan plan;
-      algorithm.plan_transit(view, i, plan);
-      switch (plan.kind) {
-        case TransitPlan::Kind::kStayForever:
-          wake[static_cast<std::size_t>(i)] = max_rounds + 1;
-          ++num_parked;
-          break;
-        case TransitPlan::Kind::kEvent:
-          wake[static_cast<std::size_t>(i)] = event_round + 1;
-          break;
-        case TransitPlan::Kind::kWalk: {
-          const std::int64_t budget = max_rounds - event_round;
-          if (plan.steps <= budget) {
-            apply_walk(tree, state, i, plan, result);
-            wake[static_cast<std::size_t>(i)] = event_round + plan.steps + 1;
-            break;
-          }
-          // A limit-capped walk: its first `budget` steps fit before the
-          // horizon, and the robot is parked just past it.
-          walk_path(tree, state.robot_pos(i), plan, capped_walk);
-          for (std::int64_t s = 0; s < budget; ++s) {
-            apply_walk_step(tree, state, i,
-                            capped_walk[static_cast<std::size_t>(s)], result);
-          }
-          wake[static_cast<std::size_t>(i)] = max_rounds + 1;
-          break;
-        }
-      }
-    }
-  }
-
-  // The stepped loop flags the limit whenever it executes max_rounds
-  // rounds without an earlier break (its limit check precedes the
-  // round's all-stay test).
-  if (result.rounds >= max_rounds) result.hit_round_limit = true;
-  // All clocks tick together: every robot is activated (mid-walk,
-  // parked-stay or selecting) in every counted round, exactly like the
-  // stepped loop.
-  result.total_activations = static_cast<std::int64_t>(k) * result.rounds;
-  finalize_result(tree, state, result);
-  return result;
 }
 
 /// True iff the selected move changes the robot's position.
@@ -779,22 +609,6 @@ RunResult run_stepped(const Tree& tree, Algorithm& algorithm,
   return result;
 }
 
-/// A (time, rate class) min-heap entry; ties pop in ascending index.
-using TimedEntry = std::pair<std::int64_t, std::int32_t>;
-
-void push_timed(std::vector<TimedEntry>& heap, std::int64_t time,
-                std::int32_t index) {
-  heap.emplace_back(time, index);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>());
-}
-
-std::int32_t pop_timed(std::vector<TimedEntry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-  const std::int32_t index = heap.back().second;
-  heap.pop_back();
-  return index;
-}
-
 /// Monotone calendar of rate-class activations. A time less than 64
 /// past the last processed one lands in a ring of per-time buckets
 /// with an occupancy mask, so pushing and finding the next time are
@@ -811,7 +625,8 @@ class ActivationCalendar {
       ring_[slot].push_back(index);
       occupied_ |= std::uint64_t{1} << slot;
     } else {
-      push_timed(overflow_, time, index);
+      overflow_.emplace_back(time, index);
+      std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>());
     }
   }
 
@@ -840,7 +655,9 @@ class ActivationCalendar {
       occupied_ &= ~(std::uint64_t{1} << slot);
     }
     while (!overflow_.empty() && overflow_.front().first == time) {
-      out.push_back(pop_timed(overflow_));
+      std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>());
+      out.push_back(overflow_.back().second);
+      overflow_.pop_back();
     }
   }
 
@@ -849,27 +666,45 @@ class ActivationCalendar {
   std::array<std::vector<std::int32_t>, kSlots> ring_;
   std::uint64_t occupied_ = 0;
   std::int64_t now_ = 0;
-  std::vector<TimedEntry> overflow_;
+  // (time, rate class) min-heap; ties pop in ascending index.
+  std::vector<std::pair<std::int64_t, std::int32_t>> overflow_;
 };
 
-/// Async fast-forward: the stepped async loop with every committed walk
-/// applied once, through apply_walk, when it is planned (the argument
-/// of the synchronous fast-forward carries over: a walk touches no
-/// shared state another robot's decision reads). A walking robot's next
-/// selection is the activation after its last walk step,
-/// nth_activation(T, i, steps); each robot's next selection time sits
-/// in a per-robot array beside their cached minimum. Robots of one rate
-/// class share every activation time, so a processed time needs only
-/// the per-class counts of the classes activated at T — activated =
-/// Σ class sizes, moves = Σ class walkers + selector moves, idle =
-/// Σ class parked + stayers — and costs O(active classes); a time at
-/// which robots select adds one O(k) pass over the array, which yields
-/// them in the ascending order Claim 2's reservations need.
-RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
-                                 const RunConfig& config,
-                                 std::int64_t max_rounds) {
-  const std::int32_t k = config.num_robots;
-  const AsyncScheduler& schedule = *config.async;
+/// Event-driven fast-forward, the one loop for both clocks. Robots
+/// alternate between selections, where they run the algorithm's real
+/// selection logic, and committed walks (TransitPlan::kWalk), which the
+/// loop executes in one apply_walk call the moment they are planned:
+/// the robot's position, the first-traversal flags and its move counter
+/// advance over the whole segment, and the robot next selects at the
+/// activation after its last walk step. Because a committed-segment
+/// algorithm decides each robot's move from shared exploration state
+/// plus that robot's own private state only, and transit moves touch no
+/// shared state another robot's decision reads (traversal flags are
+/// write-only bookkeeping; dangling counts only ever decrease),
+/// executing the walk eagerly is indistinguishable from interleaving it
+/// with the other robots' activations — the stepped loop would produce
+/// exactly the same moves. Every accounting rule below mirrors one line
+/// of the stepped loop (see docs/MODEL.md).
+///
+/// Robots of one rate class share every activation time, so a processed
+/// time T needs only the per-class counts of the classes activated at T
+/// — activated = Σ class sizes, moves = Σ class walkers + selector
+/// moves, idle = Σ class parked + stayers. The activation source is
+///  * lockstep (`clocks` == nullptr): one class of all k robots, active
+///    at every tick, all clocks set at once; a robot's next selection is
+///    T + 1 and a walk of s steps ends at T + s, so no scheduler is asked
+///    and no calendar kept. Ticks at which no robot selects have every
+///    unparked robot mid-walk and are accounted in closed form;
+///  * per-robot clocks (kAsyncSafe algorithms under RunConfig::async): a
+///    walk ends at nth_activation(T, i, steps), and a calendar yields
+///    the classes activated at T.
+/// Each robot's next selection time sits in a per-robot array beside
+/// their cached minimum; a time at which robots select adds one O(k)
+/// pass over the array, which yields them in the ascending order
+/// Claim 2's reservations need.
+RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
+                           std::int32_t k, std::int64_t max_rounds,
+                           const AsyncScheduler* clocks) {
   ExplorationState state(tree, k);
   RunResult result;
   result.robot_moves.assign(static_cast<std::size_t>(k), 0);
@@ -881,6 +716,14 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
   algorithm.begin(view);
   MoveSelector selector(state, movable);
 
+  // The activation after time t of robot i.
+  const auto next_after = [clocks](std::int64_t t, std::int32_t i) {
+    const std::int64_t next =
+        clocks == nullptr ? t + 1 : clocks->next_activation(t, i);
+    BFDN_CHECK(next > t, "scheduler next_activation must advance time");
+    return next;
+  };
+
   struct RateClass {
     std::int64_t size = 0;
     std::int64_t walkers = 0;  // members inside a committed walk
@@ -888,7 +731,8 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
     std::int32_t member = -1;  // any member: the class's clock
     std::int64_t active_at = 0;
   };
-  const std::int32_t num_classes = schedule.num_rate_classes(k);
+  const std::int32_t num_classes =
+      clocks == nullptr ? 1 : clocks->num_rate_classes(k);
   BFDN_CHECK(num_classes >= 1, "scheduler needs at least one rate class");
   std::vector<RateClass> classes(static_cast<std::size_t>(num_classes));
   std::vector<std::int32_t> class_of(static_cast<std::size_t>(k));
@@ -898,22 +742,27 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
   std::vector<std::int64_t> next_selection(static_cast<std::size_t>(k));
   std::int64_t earliest_selection = kNever;
   for (std::int32_t i = 0; i < k; ++i) {
-    const std::int32_t c = schedule.rate_class(i);
+    const std::int32_t c = clocks == nullptr ? 0 : clocks->rate_class(i);
     BFDN_CHECK(c >= 0 && c < num_classes, "rate class out of range");
     class_of[static_cast<std::size_t>(i)] = c;
     RateClass& rate_class = classes[static_cast<std::size_t>(c)];
     ++rate_class.size;
     if (rate_class.member < 0) rate_class.member = i;
-    const std::int64_t first = schedule.first_activation(i);
+    const std::int64_t first =
+        clocks == nullptr ? 1 : clocks->first_activation(i);
     BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
     next_selection[static_cast<std::size_t>(i)] = first;
     earliest_selection = std::min(earliest_selection, first);
   }
+  // Classes activated at T: in lockstep always the one class; under a
+  // scheduler popped from the calendar of class activations.
+  std::vector<std::int32_t> active(clocks == nullptr ? 1 : 0, 0);
+  active.reserve(static_cast<std::size_t>(num_classes));
   ActivationCalendar activations;
-  for (std::int32_t c = 0; c < num_classes; ++c) {
+  for (std::int32_t c = 0; clocks != nullptr && c < num_classes; ++c) {
     const RateClass& rate_class = classes[static_cast<std::size_t>(c)];
     if (rate_class.size > 0) {
-      activations.push(schedule.first_activation(rate_class.member), c);
+      activations.push(clocks->first_activation(rate_class.member), c);
     }
   }
 
@@ -922,71 +771,88 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
   std::int64_t last_move_time = 0;
   std::int64_t num_parked = 0;
   // Unparked robots whose last stay is later than last_move_time; the
-  // run is stable when that is every unparked robot.
+  // run is stable when that is every unparked robot (in lockstep: on
+  // Algorithm 1's uncounted terminal all-stay round).
   std::int64_t stayed_since_move = 0;
 
-  std::vector<std::int32_t> active;     // classes activated at T
   std::vector<std::int32_t> selecting;  // robots selecting at T, ascending
-  active.reserve(static_cast<std::size_t>(num_classes));
   selecting.reserve(static_cast<std::size_t>(k));
   TransitPlan plan;
   std::vector<NodeId> capped_walk;
 
-  for (;;) {
-    const std::int64_t now = activations.next_time();
+  for (std::int64_t now = 0;;) {
+    if (clocks == nullptr) {
+      // Lockstep ticks before the next selection (up to the limit): every
+      // unparked robot is mid-walk and moves in each of them, so they all
+      // count; parked robots stay, which is exactly the stepped loop's
+      // idle accounting. Robots whose walk the limit cut never select
+      // again and keep moving up to the limit.
+      const std::int64_t gap_end = std::min(earliest_selection - 1, max_rounds);
+      if (gap_end > now) {
+        BFDN_CHECK(classes[0].walkers == k - num_parked,
+                   "a lockstep robot neither selects, walks nor is parked");
+        const std::int64_t gap = gap_end - now;
+        result.total_activations += static_cast<std::int64_t>(k) * gap;
+        if (num_parked > 0) {
+          result.rounds_with_idle += gap;
+          result.idle_robot_rounds += gap * num_parked;
+        }
+        last_move_time = gap_end;
+        stayed_since_move = 0;
+      }
+      now = earliest_selection;
+    } else {
+      now = activations.next_time();
+    }
     if (algorithm.finished(view)) break;
+    // As in the stepped loop, the limit check precedes the time's
+    // all-stay test, so a run still moving at max_rounds hits the limit.
     if (now > max_rounds) {
       result.hit_round_limit = true;
       break;
     }
 
-    active.clear();
-    activations.pop(now, active);
+    // Branch-free compaction of the robots selecting now beside the
+    // minimum over everyone else (the buffer keeps capacity k, so the
+    // resizes never allocate). The selectors' entries are rewritten when
+    // they are re-planned below.
+    BFDN_CHECK(earliest_selection >= now,
+               "a robot's selection time was never processed");
+    std::size_t num_selecting = 0;
+    if (earliest_selection == now) {
+      earliest_selection = kNever;
+      selecting.resize(static_cast<std::size_t>(k));
+      for (std::int32_t i = 0; i < k; ++i) {
+        const std::int64_t t = next_selection[static_cast<std::size_t>(i)];
+        selecting[num_selecting] = i;
+        num_selecting += static_cast<std::size_t>(t == now);
+        earliest_selection =
+            std::min(earliest_selection, t == now ? kNever : t);
+      }
+    }
+    selecting.resize(num_selecting);
+    if (clocks != nullptr) {
+      active.clear();
+      activations.pop(now, active);
+    }
     std::int64_t activated = 0;
     std::int64_t parked = 0;
+    std::int64_t walkers = 0;  // less the walks ending now, counted below
     for (const std::int32_t c : active) {
       RateClass& rate_class = classes[static_cast<std::size_t>(c)];
       rate_class.active_at = now;
       activated += rate_class.size;
       parked += rate_class.parked;
-    }
-    selecting.clear();
-    BFDN_CHECK(earliest_selection >= now,
-               "a robot's selection time was never processed");
-    if (earliest_selection == now) {
-      earliest_selection = kNever;
-      for (std::int32_t i = 0; i < k; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        if (next_selection[s] != now) {
-          earliest_selection = std::min(earliest_selection, next_selection[s]);
-          continue;
-        }
-        RateClass& rate_class =
-            classes[static_cast<std::size_t>(class_of[s])];
-        BFDN_CHECK(rate_class.active_at == now,
-                   "a robot's activation is not one of its rate class's");
-        if (walking[s]) {  // its walk ended at the class's last activation
-          walking[s] = 0;
-          --rate_class.walkers;
-        }
-        state.set_robot_clock(i, now);
-        selecting.push_back(i);
-        next_selection[s] = kNever;  // until re-planned below
+      walkers += rate_class.walkers;
+      if (clocks != nullptr) {
+        activations.push(next_after(now, rate_class.member), c);
       }
     }
-    std::int64_t walkers = 0;
-    for (const std::int32_t c : active) {
-      RateClass& rate_class = classes[static_cast<std::size_t>(c)];
-      walkers += rate_class.walkers;
-      const std::int64_t next =
-          schedule.next_activation(now, rate_class.member);
-      BFDN_CHECK(next > now, "scheduler next_activation must advance time");
-      activations.push(next, c);
+    if (clocks == nullptr) {
+      state.set_clock_base(now);
+    } else {
+      for (const std::int32_t i : selecting) state.set_robot_clock(i, now);
     }
-    BFDN_CHECK(activated ==
-                   walkers + parked + static_cast<std::int64_t>(
-                                          selecting.size()),
-               "rate class members do not share their activation times");
 
     if (!selecting.empty()) {
       selector.reset();
@@ -997,10 +863,17 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
 
     // MOVE for the selecting robots, ascending robot index; the
     // walkers' moves at T were applied when their walks were planned.
-    std::int64_t moves = walkers;
+    std::int64_t moves = 0;
     std::int64_t stayers = 0;
     for (const std::int32_t i : selecting) {
       const auto s = static_cast<std::size_t>(i);
+      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
+      BFDN_CHECK(rate_class.active_at == now,
+                 "a robot's activation is not one of its rate class's");
+      // A walker's walk ended at the class's last activation.
+      rate_class.walkers -= walking[s];
+      walkers -= walking[s];
+      walking[s] = 0;
       if (apply_pending_move(tree, state, i, pending[s], unexplored_at_depth,
                              result, now)) {
         ++moves;
@@ -1010,6 +883,11 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
         last_stay_time[s] = now;
       }
     }
+    BFDN_CHECK(activated ==
+                   walkers + parked + static_cast<std::int64_t>(
+                                          selecting.size()),
+               "rate class members do not share their activation times");
+    moves += walkers;
     if (moves > 0) {
       last_move_time = now;
       stayed_since_move = 0;
@@ -1031,34 +909,36 @@ RunResult run_async_fast_forward(const Tree& tree, Algorithm& algorithm,
       plan = TransitPlan{};
       algorithm.plan_transit(view, i, plan);
       if (plan.kind == TransitPlan::Kind::kStayForever) {
+        next_selection[s] = kNever;
         ++rate_class.parked;
         ++num_parked;
         if (last_stay_time[s] > last_move_time) --stayed_since_move;
         continue;
       }
       if (plan.kind == TransitPlan::Kind::kEvent || plan.steps == 0) {
-        const std::int64_t next = schedule.next_activation(now, i);
-        BFDN_CHECK(next > now, "scheduler next_activation must advance time");
-        next_selection[s] = next;
-        earliest_selection = std::min(earliest_selection, next);
+        next_selection[s] = next_after(now, i);
+        earliest_selection = std::min(earliest_selection, next_selection[s]);
         continue;
       }
       walking[s] = 1;
       ++rate_class.walkers;
-      const std::int64_t walk_end = schedule.nth_activation(now, i, plan.steps);
+      const std::int64_t walk_end =
+          clocks == nullptr ? now + plan.steps
+                            : clocks->nth_activation(now, i, plan.steps);
       BFDN_CHECK(walk_end > now, "scheduler nth_activation must advance time");
       if (walk_end <= max_rounds) {
         apply_walk(tree, state, i, plan, result);
-        next_selection[s] = schedule.next_activation(walk_end, i);
+        next_selection[s] = next_after(walk_end, i);
         earliest_selection = std::min(earliest_selection, next_selection[s]);
         continue;
       }
       // A limit-capped walk: only the steps at activations inside the
       // limit execute, and the robot never selects again.
+      next_selection[s] = kNever;
       walk_path(tree, state.robot_pos(i), plan, capped_walk);
       std::size_t step = 0;
-      for (std::int64_t t = schedule.next_activation(now, i); t <= max_rounds;
-           t = schedule.next_activation(t, i)) {
+      for (std::int64_t t = next_after(now, i); t <= max_rounds;
+           t = next_after(t, i)) {
         apply_walk_step(tree, state, i, capped_walk[step++], result);
       }
     }
@@ -1094,19 +974,18 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
           ? config.async
           : nullptr;
 
-  // The fast-forward loops need committed-segment hints from the
-  // algorithm and are incompatible with anything that must see (or
-  // perturb) every round: per-round hooks and adversaries force the
-  // stepped loop, as does fast_forward = false, on either clock.
+  // Two loops, each with both activation sources. The fast-forward
+  // loop needs committed-segment hints from the algorithm and is
+  // incompatible with anything that must see (or perturb) every round:
+  // per-round hooks and adversaries force the stepped loop, as does
+  // fast_forward = false, on either clock.
   if (config.fast_forward && config.schedule == nullptr &&
       config.reactive == nullptr && config.trace == nullptr &&
       config.observer == nullptr && !config.check_invariants &&
       algorithm.transit_capability() ==
           TransitCapability::kCommittedSegments) {
-    return clocks != nullptr
-               ? run_async_fast_forward(tree, algorithm, config, max_rounds)
-               : run_fast_forward(tree, algorithm, config.num_robots,
-                                  max_rounds);
+    return run_event_driven(tree, algorithm, config.num_robots, max_rounds,
+                            clocks);
   }
   return run_stepped(tree, algorithm, config, max_rounds, clocks);
 }

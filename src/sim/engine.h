@@ -200,7 +200,7 @@ enum class TransitCapability : std::uint8_t {
 /// an async RunConfig are auto-driven in lockstep: the stepped loop's
 /// lockstep source activates every robot every round, i.e. the run is
 /// synchronous whatever the scheduler. Either way a run takes one of
-/// three loops (see RunConfig).
+/// two loops, each with both activation sources (see RunConfig).
 enum class ActivationGranularity : std::uint8_t {
   kLockstep,
   kAsyncSafe,
@@ -309,10 +309,12 @@ class RoundObserver {
   virtual void on_round(std::int64_t round, const ExplorationState& state) = 0;
 };
 
-/// A run takes one of three loops, chosen by run_exploration:
-/// run_fast_forward (lockstep) or run_async_fast_forward (per-robot
-/// clocks) when `fast_forward` holds and nothing needs every round, and
-/// otherwise the stepped loop, which serves both clocks (docs/MODEL.md).
+/// A run takes one of two loops, chosen by run_exploration: the
+/// fast-forward loop when `fast_forward` holds and nothing needs every
+/// round, and otherwise the stepped loop. Each has two activation
+/// sources, lockstep and an AsyncScheduler; the fast-forward loop
+/// accounts lockstep ticks at which no robot selects in closed form
+/// (docs/MODEL.md).
 struct RunConfig {
   std::int32_t num_robots = 1;
   /// 0 = automatic limit (comfortably above the 3*D*n termination bound).

@@ -64,9 +64,9 @@ class ExplorationState {
   /// AsyncScheduler makes them diverge. Clocks are *derived* scheduling
   /// metadata, not observable exploration state, so they do NOT enter
   /// state_hash(): two executions reaching the same configuration at
-  /// different robot speeds hash equal. The async fast-forward sets a
-  /// robot's clock only when it selects, so there the clock is exact
-  /// only while the robot selects.
+  /// different robot speeds hash equal. The fast-forward loop under an
+  /// AsyncScheduler sets a robot's clock only when it selects, so there
+  /// the clock is exact only while the robot selects.
   std::int64_t robot_clock(std::int32_t robot) const;
   /// Sets one robot's clock (async engines).
   void set_robot_clock(std::int32_t robot, std::int64_t t);

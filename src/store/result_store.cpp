@@ -309,6 +309,7 @@ void ResultStore::put(std::uint64_t key, std::string_view payload) {
 
 void ResultStore::flush() {
   MutexLock lock(mutex_);
+  ++stats_.flush_waits;
   flush_requested_ = true;
   flusher_cv_.notify_all();
   flushed_cv_.wait(lock.native(), [this] {

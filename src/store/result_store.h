@@ -72,6 +72,7 @@ struct StoreStats {
   std::int64_t appended_bytes = 0;
   std::int64_t flushes = 0;
   std::int64_t syncs = 0;
+  std::int64_t flush_waits = 0;  // flush() calls: each blocked its caller
   // Reads.
   std::int64_t lookups = 0;
   std::int64_t hits = 0;

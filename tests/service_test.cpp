@@ -724,6 +724,36 @@ TEST(ServiceEndToEndTest, OversizedAndMalformedRequestsAreRejected) {
   server.drain();
 }
 
+TEST(ServiceEndToEndTest, NodeLimitCountsTheBuiltTree) {
+  // Families sized by depth or arms ignore `nodes`: a binary tree of
+  // depth 12 builds 8191 nodes, so a 1000-node server refuses it as a
+  // run and as a campaign. A fixed-depth tree of exactly 1000 nodes
+  // passes.
+  ServiceServer server(server_options(2, 16, 16, 20,
+                                      /*max_nodes=*/1000));
+  server.start();
+  ServiceClient client(server.port());
+  const std::string refusal = "nodes exceeds server limit 1000";
+
+  const JsonValue run = client.call(
+      R"({"id":"b","type":"run","family":"binary","depth":12,"k":64})");
+  EXPECT_EQ(run.get_string("status", ""), "error");
+  EXPECT_EQ(run.get_string("error", ""), refusal);
+
+  const JsonValue campaign = client.call(
+      R"({"id":"c","type":"campaign","family":"binary","depth":12,)"
+      R"("ks":[4,8],"algo_seeds":[1,2]})");
+  EXPECT_EQ(campaign.get_string("status", ""), "error");
+  EXPECT_EQ(campaign.get_string("error", ""), refusal);
+
+  const JsonValue fits = client.call(
+      R"({"id":"f","type":"run","family":"fixed-depth","nodes":1000,)"
+      R"("depth":30,"k":8})");
+  EXPECT_EQ(fits.get_string("status", ""), "ok");
+  EXPECT_EQ(fits.at("result").get_int("n", -1), 1000);
+  server.drain();
+}
+
 TEST(ServiceEndToEndTest, StatsRequestReportsQueueAndCache) {
   ServiceServer server(server_options(2, 7, 16));
   server.start();
@@ -854,8 +884,9 @@ TEST(ServiceCampaignTest, OversizedCampaignTreeIsRejected) {
                                       /*max_nodes=*/100));
   server.start();
   ServiceClient client(server.port());
+  // comb ignores `nodes`: 12 arms of depth 600 build 7201 nodes.
   ServiceRequest request = campaign_request();
-  request.recipe.nodes = 5000;
+  request.recipe.depth = 600;
   const JsonValue refused = client.call(serialize_request(request));
   EXPECT_EQ(refused.get_string("status", ""), "error");
   server.drain();
