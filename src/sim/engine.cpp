@@ -17,28 +17,32 @@ namespace bfdn {
 // Engine-private access to MoveSelector internals (friend of
 // MoveSelector; see engine.h).
 struct EngineAccess {
-  static const std::vector<MoveSelector::Pending>& pending(
-      const MoveSelector& sel) {
-    return sel.pending_;
-  }
   static std::vector<MoveSelector::Pending>& pending(MoveSelector& sel) {
     return sel.pending_;
-  }
-  static const std::vector<std::uint64_t>& reanchors(
-      const MoveSelector& sel) {
-    return sel.reanchor_counts_;
-  }
-  static const std::vector<std::uint64_t>& reanchor_switches(
-      const MoveSelector& sel) {
-    return sel.reanchor_switch_counts_;
-  }
-  static const std::vector<std::int32_t>& reanchor_depths(
-      const MoveSelector& sel) {
-    return sel.reanchor_depths_;
   }
   static const std::vector<std::pair<NodeId, NodeId>>& reservations(
       const MoveSelector& sel) {
     return sel.reserved_this_round_;
+  }
+
+  /// Flushes the selector's per-depth reanchor counters into the result
+  /// histograms (identical in every engine mode).
+  static void flush_reanchor_counts(const MoveSelector& sel,
+                                    RunResult& result) {
+    const std::vector<std::uint64_t>& reanchors = sel.reanchor_counts_;
+    const std::vector<std::uint64_t>& switches = sel.reanchor_switch_counts_;
+    for (const std::int32_t depth : sel.reanchor_depths_) {
+      const auto d = static_cast<std::size_t>(depth);
+      if (reanchors[d] != 0) {
+        result.reanchors_by_depth.add(depth, reanchors[d]);
+        result.total_reanchors += static_cast<std::int64_t>(reanchors[d]);
+      }
+      if (switches[d] != 0) {
+        result.reanchor_switches_by_depth.add(depth, switches[d]);
+        result.total_reanchor_switches +=
+            static_cast<std::int64_t>(switches[d]);
+      }
+    }
   }
 };
 
@@ -249,26 +253,6 @@ void init_depth_accounting(const Tree& tree, RunResult& result,
     if (unexplored_at_depth[d] == 0) {
       result.depth_completed_round[d] = 0;  // hollow level (impossible
                                             // in a tree, but cheap)
-    }
-  }
-}
-
-/// Flushes the selector's per-depth reanchor counters into the result
-/// histograms (identical in every engine mode).
-void flush_reanchor_counts(const MoveSelector& selector, RunResult& result) {
-  const std::vector<std::uint64_t>& reanchors =
-      EngineAccess::reanchors(selector);
-  const std::vector<std::uint64_t>& switches =
-      EngineAccess::reanchor_switches(selector);
-  for (const std::int32_t depth : EngineAccess::reanchor_depths(selector)) {
-    const auto d = static_cast<std::size_t>(depth);
-    if (reanchors[d] != 0) {
-      result.reanchors_by_depth.add(depth, reanchors[d]);
-      result.total_reanchors += static_cast<std::int64_t>(reanchors[d]);
-    }
-    if (switches[d] != 0) {
-      result.reanchor_switches_by_depth.add(depth, switches[d]);
-      result.total_reanchor_switches += static_cast<std::int64_t>(switches[d]);
     }
   }
 }
@@ -584,7 +568,7 @@ RunResult run_stepped(const Tree& tree, Algorithm& algorithm,
         ++result.rounds_with_idle;
         result.idle_robot_rounds += stays;
       }
-      flush_reanchor_counts(selector, result);
+      EngineAccess::flush_reanchor_counts(selector, result);
       if (config.trace != nullptr) {
         TraceFrame frame;
         frame.round = now;
@@ -690,18 +674,24 @@ class ActivationCalendar {
 /// time T needs only the per-class counts of the classes activated at T
 /// — activated = Σ class sizes, moves = Σ class walkers + selector
 /// moves, idle = Σ class parked + stayers. The activation source is
-///  * lockstep (`clocks` == nullptr): one class of all k robots, active
-///    at every tick, all clocks set at once; a robot's next selection is
-///    T + 1 and a walk of s steps ends at T + s, so no scheduler is asked
-///    and no calendar kept. Ticks at which no robot selects have every
-///    unparked robot mid-walk and are accounted in closed form;
+///  * lockstep (kLockstepSource, `clocks` == nullptr): one class of all k
+///    robots, active at every tick, all clocks set at once; a robot's
+///    next selection is T + 1 and a walk of s steps ends at T + s, so no
+///    scheduler is asked and no calendar kept, and the walkers are the
+///    robots neither selecting nor parked. Ticks at which no robot
+///    selects have every unparked robot mid-walk and are accounted in
+///    closed form;
 ///  * per-robot clocks (kAsyncSafe algorithms under RunConfig::async): a
-///    walk ends at nth_activation(T, i, steps), and a calendar yields
-///    the classes activated at T.
+///    walk ends at nth_activation(T, i, steps), a calendar yields the
+///    classes activated at T, and per-class walker counts check that
+///    class members share their activation times.
+/// The source is a template parameter, so the lockstep instance carries
+/// no scheduler branch.
 /// Each robot's next selection time sits in a per-robot array beside
 /// their cached minimum; a time at which robots select adds one O(k)
 /// pass over the array, which yields them in the ascending order
 /// Claim 2's reservations need.
+template <bool kLockstepSource>
 RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
                            std::int32_t k, std::int64_t max_rounds,
                            const AsyncScheduler* clocks) {
@@ -719,7 +709,7 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
   // The activation after time t of robot i.
   const auto next_after = [clocks](std::int64_t t, std::int32_t i) {
     const std::int64_t next =
-        clocks == nullptr ? t + 1 : clocks->next_activation(t, i);
+        kLockstepSource ? t + 1 : clocks->next_activation(t, i);
     BFDN_CHECK(next > t, "scheduler next_activation must advance time");
     return next;
   };
@@ -732,7 +722,7 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
     std::int64_t active_at = 0;
   };
   const std::int32_t num_classes =
-      clocks == nullptr ? 1 : clocks->num_rate_classes(k);
+      kLockstepSource ? 1 : clocks->num_rate_classes(k);
   BFDN_CHECK(num_classes >= 1, "scheduler needs at least one rate class");
   std::vector<RateClass> classes(static_cast<std::size_t>(num_classes));
   std::vector<std::int32_t> class_of(static_cast<std::size_t>(k));
@@ -742,30 +732,32 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
   std::vector<std::int64_t> next_selection(static_cast<std::size_t>(k));
   std::int64_t earliest_selection = kNever;
   for (std::int32_t i = 0; i < k; ++i) {
-    const std::int32_t c = clocks == nullptr ? 0 : clocks->rate_class(i);
+    const std::int32_t c = kLockstepSource ? 0 : clocks->rate_class(i);
     BFDN_CHECK(c >= 0 && c < num_classes, "rate class out of range");
     class_of[static_cast<std::size_t>(i)] = c;
     RateClass& rate_class = classes[static_cast<std::size_t>(c)];
     ++rate_class.size;
     if (rate_class.member < 0) rate_class.member = i;
     const std::int64_t first =
-        clocks == nullptr ? 1 : clocks->first_activation(i);
+        kLockstepSource ? 1 : clocks->first_activation(i);
     BFDN_CHECK(first >= 1, "scheduler first_activation must be >= 1");
     next_selection[static_cast<std::size_t>(i)] = first;
     earliest_selection = std::min(earliest_selection, first);
   }
-  // Classes activated at T: in lockstep always the one class; under a
-  // scheduler popped from the calendar of class activations.
-  std::vector<std::int32_t> active(clocks == nullptr ? 1 : 0, 0);
+  // Classes activated at T, popped from the calendar of class
+  // activations (in lockstep the one class is always active).
+  std::vector<std::int32_t> active;
   active.reserve(static_cast<std::size_t>(num_classes));
   ActivationCalendar activations;
-  for (std::int32_t c = 0; clocks != nullptr && c < num_classes; ++c) {
+  for (std::int32_t c = 0; !kLockstepSource && c < num_classes; ++c) {
     const RateClass& rate_class = classes[static_cast<std::size_t>(c)];
     if (rate_class.size > 0) {
       activations.push(clocks->first_activation(rate_class.member), c);
     }
   }
 
+  // Robots inside a committed walk; kept under a scheduler only, for
+  // the per-class walker counts.
   std::vector<char> walking(static_cast<std::size_t>(k), 0);
   std::vector<std::int64_t> last_stay_time(static_cast<std::size_t>(k), -1);
   std::int64_t last_move_time = 0;
@@ -781,7 +773,7 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
   std::vector<NodeId> capped_walk;
 
   for (std::int64_t now = 0;;) {
-    if (clocks == nullptr) {
+    if constexpr (kLockstepSource) {
       // Lockstep ticks before the next selection (up to the limit): every
       // unparked robot is mid-walk and moves in each of them, so they all
       // count; parked robots stay, which is exactly the stepped loop's
@@ -789,8 +781,6 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
       // again and keep moving up to the limit.
       const std::int64_t gap_end = std::min(earliest_selection - 1, max_rounds);
       if (gap_end > now) {
-        BFDN_CHECK(classes[0].walkers == k - num_parked,
-                   "a lockstep robot neither selects, walks nor is parked");
         const std::int64_t gap = gap_end - now;
         result.total_activations += static_cast<std::int64_t>(k) * gap;
         if (num_parked > 0) {
@@ -831,26 +821,26 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
       }
     }
     selecting.resize(num_selecting);
-    if (clocks != nullptr) {
-      active.clear();
-      activations.pop(now, active);
-    }
-    std::int64_t activated = 0;
-    std::int64_t parked = 0;
-    std::int64_t walkers = 0;  // less the walks ending now, counted below
-    for (const std::int32_t c : active) {
-      RateClass& rate_class = classes[static_cast<std::size_t>(c)];
-      rate_class.active_at = now;
-      activated += rate_class.size;
-      parked += rate_class.parked;
-      walkers += rate_class.walkers;
-      if (clocks != nullptr) {
-        activations.push(next_after(now, rate_class.member), c);
-      }
-    }
-    if (clocks == nullptr) {
+    // The members of the classes activated at T: in lockstep all k, of
+    // which those neither selecting nor parked are mid-walk.
+    std::int64_t activated = k;
+    std::int64_t parked = num_parked;
+    std::int64_t walkers =
+        k - num_parked - static_cast<std::int64_t>(selecting.size());
+    if constexpr (kLockstepSource) {
       state.set_clock_base(now);
     } else {
+      active.clear();
+      activations.pop(now, active);
+      activated = parked = walkers = 0;  // less the walks ending now
+      for (const std::int32_t c : active) {
+        RateClass& rate_class = classes[static_cast<std::size_t>(c)];
+        rate_class.active_at = now;
+        activated += rate_class.size;
+        parked += rate_class.parked;
+        walkers += rate_class.walkers;
+        activations.push(next_after(now, rate_class.member), c);
+      }
       for (const std::int32_t i : selecting) state.set_robot_clock(i, now);
     }
 
@@ -867,13 +857,15 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
     std::int64_t stayers = 0;
     for (const std::int32_t i : selecting) {
       const auto s = static_cast<std::size_t>(i);
-      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
-      BFDN_CHECK(rate_class.active_at == now,
-                 "a robot's activation is not one of its rate class's");
-      // A walker's walk ended at the class's last activation.
-      rate_class.walkers -= walking[s];
-      walkers -= walking[s];
-      walking[s] = 0;
+      if constexpr (!kLockstepSource) {
+        RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
+        BFDN_CHECK(rate_class.active_at == now,
+                   "a robot's activation is not one of its rate class's");
+        // A walker's walk ended at the class's last activation.
+        rate_class.walkers -= walking[s];
+        walkers -= walking[s];
+        walking[s] = 0;
+      }
       if (apply_pending_move(tree, state, i, pending[s], unexplored_at_depth,
                              result, now)) {
         ++moves;
@@ -899,18 +891,19 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
       result.total_activations += activated;
       // Without selectors the selector still holds an earlier time's
       // counts, already flushed or dropped with that time.
-      if (!selecting.empty()) flush_reanchor_counts(selector, result);
+      if (!selecting.empty()) {
+        EngineAccess::flush_reanchor_counts(selector, result);
+      }
     }
 
     // Re-plan the robots that just selected, from the post-MOVE state.
     for (const std::int32_t i : selecting) {
       const auto s = static_cast<std::size_t>(i);
-      RateClass& rate_class = classes[static_cast<std::size_t>(class_of[s])];
       plan = TransitPlan{};
       algorithm.plan_transit(view, i, plan);
       if (plan.kind == TransitPlan::Kind::kStayForever) {
         next_selection[s] = kNever;
-        ++rate_class.parked;
+        ++classes[static_cast<std::size_t>(class_of[s])].parked;
         ++num_parked;
         if (last_stay_time[s] > last_move_time) --stayed_since_move;
         continue;
@@ -920,10 +913,12 @@ RunResult run_event_driven(const Tree& tree, Algorithm& algorithm,
         earliest_selection = std::min(earliest_selection, next_selection[s]);
         continue;
       }
-      walking[s] = 1;
-      ++rate_class.walkers;
+      if constexpr (!kLockstepSource) {
+        walking[s] = 1;
+        ++classes[static_cast<std::size_t>(class_of[s])].walkers;
+      }
       const std::int64_t walk_end =
-          clocks == nullptr ? now + plan.steps
+          kLockstepSource ? now + plan.steps
                             : clocks->nth_activation(now, i, plan.steps);
       BFDN_CHECK(walk_end > now, "scheduler nth_activation must advance time");
       if (walk_end <= max_rounds) {
@@ -984,8 +979,11 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
       config.observer == nullptr && !config.check_invariants &&
       algorithm.transit_capability() ==
           TransitCapability::kCommittedSegments) {
-    return run_event_driven(tree, algorithm, config.num_robots, max_rounds,
-                            clocks);
+    return clocks == nullptr
+               ? run_event_driven<true>(tree, algorithm, config.num_robots,
+                                        max_rounds, clocks)
+               : run_event_driven<false>(tree, algorithm, config.num_robots,
+                                         max_rounds, clocks);
   }
   return run_stepped(tree, algorithm, config, max_rounds, clocks);
 }
