@@ -309,7 +309,6 @@ void ResultStore::put(std::uint64_t key, std::string_view payload) {
 
 void ResultStore::flush() {
   MutexLock lock(mutex_);
-  ++stats_.flush_waits;
   flush_requested_ = true;
   flusher_cv_.notify_all();
   flushed_cv_.wait(lock.native(), [this] {
@@ -395,8 +394,10 @@ void ResultStore::flush_batch(MutexLock& lock) {
 
   std::int64_t bytes = 0;
   std::int64_t syncs = 0;
+  std::int64_t locked_io = 0;  // IO calls below made holding the mutex
   for (const WriteOp& op : ops) {
     const Segment& segment = segments_[op.segment];
+    locked_io += lock.native().owns_lock() ? 1 : 0;
     pwrite_all(segment.fd, op.buffer.data(), op.buffer.size(), op.offset,
                segment.path);
     bytes += static_cast<std::int64_t>(op.buffer.size());
@@ -407,6 +408,7 @@ void ResultStore::flush_batch(MutexLock& lock) {
     std::size_t last_synced = static_cast<std::size_t>(-1);
     for (const WriteOp& op : ops) {
       if (op.segment == last_synced) continue;
+      locked_io += lock.native().owns_lock() ? 1 : 0;
       ::fdatasync(segments_[op.segment].fd);
       last_synced = op.segment;
       ++syncs;
@@ -431,6 +433,7 @@ void ResultStore::flush_batch(MutexLock& lock) {
   stats_.appended_bytes += bytes;
   ++stats_.flushes;
   stats_.syncs += syncs;
+  stats_.locked_io += locked_io;
   stats_.records = static_cast<std::int64_t>(index_.size());
   stats_.file_bytes = 0;
   for (const Segment& segment : segments_) {

@@ -72,7 +72,10 @@ struct StoreStats {
   std::int64_t appended_bytes = 0;
   std::int64_t flushes = 0;
   std::int64_t syncs = 0;
-  std::int64_t flush_waits = 0;  // flush() calls: each blocked its caller
+  // Writes and fdatasyncs made holding the store mutex; each blocks
+  // every get and put for its duration (0 by design: flush_batch drops
+  // the mutex around its IO).
+  std::int64_t locked_io = 0;
   // Reads.
   std::int64_t lookups = 0;
   std::int64_t hits = 0;

@@ -137,6 +137,22 @@ TEST(ResultStoreTest, PutIsVisibleBeforeAndAfterFlush) {
   EXPECT_GE(store.stats().flushes, 1);
 }
 
+TEST(ResultStoreTest, FlushWritesAndSyncsWithoutHoldingTheMutex) {
+  // Gets and puts never wait on a batch's writes or fdatasyncs: every IO
+  // call runs with the store mutex dropped, across segment rotations too.
+  const std::string dir = test_dir("unlocked_io");
+  ResultStore store(small_store(dir));
+  for (std::uint64_t key = 1; key <= 60; ++key) {
+    store.put(key, payload_for(key));
+  }
+  store.flush();
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.appended_records, 60);
+  EXPECT_GE(stats.segments, 2);
+  EXPECT_GE(stats.syncs, stats.flushes);
+  EXPECT_EQ(stats.locked_io, 0);
+}
+
 TEST(ResultStoreTest, ReopenRecoversEveryRecordByteIdentical) {
   const std::string dir = test_dir("reopen");
   constexpr std::uint64_t kCount = 60;  // spans several 4 KiB segments
