@@ -163,7 +163,7 @@ int run(int argc, const char* const* argv) {
     configs.push_back({"comb", make_comb(316, 315), 256, cap});
     configs.push_back({"comb", make_comb(316, 315), 64, cap});
     // caterpillar: the deepest family (D ~ n/4); long committed-transit
-    // walks, the regime the async fast-forward targets.
+    // walks, the regime the fast-forward loop targets.
     configs.push_back({"caterpillar", make_caterpillar(25000, 3), 256,
                        cap});
     configs.push_back({"caterpillar", make_caterpillar(25000, 3), 64,

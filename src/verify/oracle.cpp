@@ -352,11 +352,12 @@ OracleReport run_oracle(const Tree& tree, const OracleConfig& config) {
   // --- per-robot clocks: async == sync (differential) -----------------
   // The round-robin scheduler is the degenerate point of the async
   // model, and the engine promises it reproduces the synchronous run
-  // bit-identically in both async loops: the stepped one (observer
-  // forces it; compared hash-by-hash against the primary run) and the
-  // async fast-forward (no hooks). An exotic AsyncSpec additionally pits
-  // the two loops against each other, uncapped and under a round limit
-  // of R/2 + 1 (R = the stepped run's makespan), and requires the
+  // bit-identically in both loops under a scheduler: the stepped loop
+  // (observer forces it; compared hash-by-hash against the primary run)
+  // and the fast-forward loop (no hooks). An exotic AsyncSpec
+  // additionally pits the two loops against each other, uncapped and
+  // under a round limit of R/2 + 1 (R = the stepped run's makespan),
+  // and requires the
   // uncapped run to still finish the job. Skipped under break-downs,
   // which are mutually exclusive with async scheduling.
   if (!breakdown) {

@@ -1,9 +1,10 @@
 // Per-robot-clock (async) engine path.
 //
-// The async loops generalize the synchronous engine: a pluggable
-// AsyncScheduler decides when each robot activates, a robot mid-transit
-// takes the next step of its committed walk at each activation (the
-// async fast-forward applies the whole walk when it is planned), and an
+// Both engine loops take a pluggable AsyncScheduler in place of the
+// lockstep clock: it decides when each robot activates, a robot
+// mid-transit takes the next step of its committed walk at each
+// activation (the fast-forward loop applies the whole walk when it is
+// planned), and an
 // event time is counted as a round iff at least one robot moves at it.
 // These tests pin the contract from docs/MODEL.md:
 //
@@ -12,9 +13,9 @@
 //  * heterogeneous-speed schedules are deterministic and still satisfy
 //    the completion invariants (complete, all home, every edge twice);
 //  * laggard starvation stretches the makespan but never livelocks;
-//  * attaching an observer forces the stepped async loop, whose results
-//    are identical to the async fast-forward's (mid-transit
-//    activations);
+//  * attaching an observer forces the stepped loop, whose results are
+//    identical to the fast-forward loop's under the same scheduler
+//    (mid-transit activations);
 //  * every scheduler's rate classes share their activation times, its
 //    nth_activation is next_activation iterated, and the engine rejects
 //    a scheduler whose declared classes do not share them;
@@ -181,9 +182,9 @@ TEST(AsyncEngine, LaggardStarvationStretchesButCompletes) {
 }
 
 TEST(AsyncEngine, ObserverForcesSteppedFallbackWithIdenticalResults) {
-  // Without hooks the async fast-forward applies each committed walk
+  // Without hooks the fast-forward loop applies each committed walk
   // when it is planned; an observer needs per-event state and forces
-  // the stepped async loop. Both must agree exactly — this is the
+  // the stepped loop. Both must agree exactly — this is the
   // mid-transit activation contract (a robot activated inside a
   // committed walk executes exactly the next step of that walk).
   for (const AsyncCase& c : grid()) {
@@ -220,8 +221,9 @@ TEST(AsyncEngine, ObserverForcesSteppedFallbackWithIdenticalResults) {
 }
 
 TEST(AsyncEngine, RateClassesShareActivationsAndNthIsIteratedNext) {
-  // The async fast-forward counts a rate class's activations once per
-  // time, so every member must be activated at exactly the same times;
+  // The fast-forward loop under a scheduler counts a rate class's
+  // activations once per time, so every member must be activated at
+  // exactly the same times;
   // nth_activation (closed forms for round-robin, fixed-rate, laggard)
   // must equal next_activation iterated, from activation times and
   // from the times between them.

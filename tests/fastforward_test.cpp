@@ -368,9 +368,9 @@ TEST(FastForward, RoundRobinFastForwardAsksItsScheduler) {
 
 TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
   // The served async recipe (fixed rate, period 2, two slow robots):
-  // the async fast-forward applies each committed walk once, when it is
-  // planned; an observer forces the stepped async loop, which must
-  // agree exactly.
+  // the fast-forward loop applies each committed walk once, when it is
+  // planned; an observer forces the stepped loop under the same
+  // scheduler, which must agree exactly.
   class LastRound : public RoundObserver {
    public:
     void on_round(std::int64_t round, const ExplorationState&) override {
@@ -399,9 +399,10 @@ TEST(FastForward, DeepAsyncFixedRateMatchesSteppedFallback) {
 }
 
 TEST(FastForward, AsyncCapsMatchSteppedFallback) {
-  // A round limit cuts the async fast-forward's eagerly applied walks
-  // short: only the steps at activations inside the limit execute. An
-  // observer forces the stepped async loop as the reference. The caps
+  // A round limit cuts the eagerly applied walks of the fast-forward
+  // loop under a scheduler short: only the steps at activations inside
+  // the limit execute. An observer forces the stepped loop as the
+  // reference. The caps
   // land on the first activation, inside walks, one short of, at and
   // past the uncapped stepped makespan R, under every non-lockstep
   // scheduler kind (two rate classes, and one class per robot).
