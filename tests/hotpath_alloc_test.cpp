@@ -115,8 +115,9 @@ std::int64_t allocations_for_async_run(const Tree& tree, std::int32_t k,
 
 TEST(HotpathAlloc, AsyncRunAllocationsAreRoundsIndependent) {
   // The fast-forward loop's calendar, heap and per-class counters under
-  // a scheduler are sized by k and the number of rate classes, never by the round
-  // count: 3x deeper teeth must move the allocation count by O(D).
+  // a scheduler are sized by k and the number of rate classes, never by
+  // the round count: 3x deeper teeth must move the allocation count by
+  // O(D).
   // Fixed-rate has two rate classes, random one per robot.
   const Tree shallow = make_comb(24, 100);
   const Tree deep = make_comb(24, 300);
