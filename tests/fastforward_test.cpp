@@ -402,10 +402,10 @@ TEST(FastForward, AsyncCapsMatchSteppedFallback) {
   // A round limit cuts the eagerly applied walks of the fast-forward
   // loop under a scheduler short: only the steps at activations inside
   // the limit execute. An observer forces the stepped loop as the
-  // reference. The caps
-  // land on the first activation, inside walks, one short of, at and
-  // past the uncapped stepped makespan R, under every non-lockstep
-  // scheduler kind (two rate classes, and one class per robot).
+  // reference. The caps land on the first activation, inside walks, one
+  // short of, at and past the uncapped stepped makespan R, under every
+  // non-lockstep scheduler kind (two rate classes, and one class per
+  // robot).
   class NoOp : public RoundObserver {
    public:
     void on_round(std::int64_t, const ExplorationState&) override {}
