@@ -78,6 +78,14 @@ constexpr std::size_t kMaxCampaignMembers = 64;
 /// recipe that would build more, so no request allocates without bound.
 constexpr std::int64_t kMaxTreeNodes = 1000000;
 
+/// Hard bound on "async_period" and "async_delay", so the round budget
+/// of a slowed run (scaled_round_limit) fits int64. With D <= n - 1 and
+/// n <= kMaxTreeNodes = 1e6, default_round_limit = 3 max(D, 1) n + 4n +
+/// 4D + 64 <= 3n^2 + 5n + 60 < 3.00001e12; the slowdown is at most
+/// 2 * 1e6 (a laggard's 2 * period), so the budget stays under 6.00002e18
+/// < 9.22e18 = INT64_MAX.
+constexpr std::int64_t kMaxAsyncGap = 1000000;
+
 /// Hard bound on one request line, terminator excluded. The largest
 /// legal request is a campaign at kMaxCampaignMembers: 64 twenty-digit
 /// algo_seeds plus every run field at its widest serializes to under
@@ -149,8 +157,9 @@ std::uint64_t request_fingerprint(const ServiceRequest& request);
 std::string execute_run(const ServiceRequest& request, const Tree& tree);
 
 /// Serializes an already-computed RunResult into the exact bytes
-/// execute_run would emit for `request` — the bridge that lets the
-/// batched campaign path produce byte-identical cache entries.
+/// execute_run would emit for `request`. It reads only the seed-blind
+/// AlgoSpec::label(), the tree and the result, so a seed-blind twin's
+/// bytes are its leader's.
 std::string serialize_run_result(const ServiceRequest& request,
                                  const Tree& tree, const RunResult& result);
 
@@ -159,15 +168,11 @@ std::string serialize_run_result(const ServiceRequest& request,
 /// same fingerprint a direct solo request for that run would get.
 std::vector<ServiceRequest> expand_campaign(const ServiceRequest& request);
 
-/// True when the run can join a sim/BatchExecutor pass: a synchronous
-/// complete-communication run (no break-down schedule, no async
-/// scheduler).
-bool batchable_request(const ServiceRequest& request);
-
-/// BatchExecutor coalesce key for the run: requests that provably
-/// ignore their algorithm seed (every servable kind except BFDN under
-/// the random reanchor policy) share a key with their seed zeroed, so
-/// a seed sweep over them executes once. "" = never coalesce.
+/// Coalesce key for the run: requests that provably ignore their
+/// algorithm seed (every servable kind except BFDN under the random
+/// reanchor policy) share a key with their seed zeroed, so a seed sweep
+/// over them executes once — in the scheduler, where a twin takes its
+/// leader's bytes, and in a sim/BatchExecutor pass. "" = never coalesce.
 std::string batch_coalesce_key(const ServiceRequest& request);
 
 // Response envelopes (no trailing newline).

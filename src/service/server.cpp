@@ -104,8 +104,9 @@ std::string ServiceServer::handle_run(const ServiceRequest& request) {
 std::string ServiceServer::handle_campaign(const ServiceRequest& request) {
   // Each member is cached under its own solo fingerprint: hits splice
   // the original solo bytes back verbatim, misses are admitted as one
-  // atomic group (the scheduler then routes same-recipe members into a
-  // BatchExecutor pass) and their results warm the per-member cache.
+  // atomic group (the scheduler then builds their tree once and runs
+  // each distinct member once, seed-blind twins sharing a run) and
+  // their results warm the per-member cache.
   // The lookup is one get_many call, so a cold campaign against a warm
   // store bulk-loads every member fingerprint in a single index pass
   // instead of N separate misses.
@@ -389,8 +390,6 @@ std::string ServiceServer::stats_json() const {
     w.kv("rejected_draining", jobs.rejected_draining);
     w.kv("batched", jobs.batched_jobs);
     w.kv("trees_built", jobs.trees_built);
-    w.kv("batch_groups", jobs.batch_groups);
-    w.kv("batch_members", jobs.batch_members);
     w.kv("batch_coalesced", jobs.batch_coalesced);
     w.kv("per_sec", uptime_s > 0
                         ? static_cast<double>(jobs.completed) / uptime_s

@@ -994,6 +994,15 @@ std::int64_t default_round_limit(const Tree& tree) {
          4 * tree.num_nodes() + 4 * tree.depth() + 64;
 }
 
+std::int64_t scaled_round_limit(const Tree& tree, std::int64_t max_rounds,
+                                std::int64_t slowdown) {
+  if (max_rounds != 0 || slowdown <= 1) return max_rounds;
+  const std::int64_t base = default_round_limit(tree);
+  BFDN_REQUIRE(slowdown <= std::numeric_limits<std::int64_t>::max() / base,
+               "round budget overflows int64");
+  return base * slowdown;
+}
+
 double theorem1_bound(std::int64_t n, std::int32_t depth,
                       std::int32_t max_degree, std::int32_t k) {
   const double log_term = std::min(std::log(static_cast<double>(k)),

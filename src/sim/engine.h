@@ -397,6 +397,13 @@ RunResult run_exploration(const Tree& tree, Algorithm& algorithm,
 /// bound. Exposed so callers driving slow async schedules can scale it.
 std::int64_t default_round_limit(const Tree& tree);
 
+/// The round budget of a run whose slowest robot waits up to `slowdown`
+/// ticks between activations (AsyncSpec::slowdown): `max_rounds` when
+/// set, else default_round_limit(tree) * slowdown when slowdown > 1,
+/// else 0 (the engine's default). Requires the product to fit int64.
+std::int64_t scaled_round_limit(const Tree& tree, std::int64_t max_rounds,
+                                std::int64_t slowdown);
+
 /// Theorem 1 right-hand side: 2n/k + D^2 (min(log k, log Delta) + 3).
 double theorem1_bound(std::int64_t n, std::int32_t depth,
                       std::int32_t max_degree, std::int32_t k);

@@ -1,5 +1,7 @@
 #include "verify/spec.h"
 
+#include <limits>
+
 #include "baselines/bfs_levels.h"
 #include "baselines/cte.h"
 #include "recursive/bfdn_ell.h"
@@ -105,8 +107,12 @@ std::int64_t AsyncSpec::slowdown() const {
     case AsyncKind::kLaggard:
       // A laggard activated right before its stalled window waits
       // period steps for the window plus its own next turn.
+      BFDN_REQUIRE(period <= std::numeric_limits<std::int64_t>::max() / 2,
+                   "laggard period overflows int64");
       return 2 * period;
     case AsyncKind::kRandom:
+      BFDN_REQUIRE(max_delay < std::numeric_limits<std::int64_t>::max(),
+                   "random max_delay overflows int64");
       return max_delay + 1;
   }
   return 1;

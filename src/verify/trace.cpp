@@ -161,12 +161,10 @@ TraceData run_traced(const Tree& tree, const AlgoSpec& algo,
     HashingObserver observer(data.round_hashes);
     RunConfig config;
     config.num_robots = algo.k;
-    config.max_rounds = max_rounds;
-    if (max_rounds == 0 && async.slowdown() > 1) {
-      // Slow schedulers stretch the makespan beyond the engine's
-      // default limit; scale it deterministically so replay agrees.
-      config.max_rounds = default_round_limit(tree) * async.slowdown();
-    }
+    // Slow schedulers stretch the makespan beyond the engine's default
+    // limit; scale it deterministically so replay agrees.
+    config.max_rounds =
+        scaled_round_limit(tree, max_rounds, async.slowdown());
     config.schedule = sched.get();
     config.async = async_sched.get();
     config.observer = &observer;

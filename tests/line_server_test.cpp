@@ -233,8 +233,8 @@ TEST(LineServerLimitsTest, WidestLegalRequestFitsTheCapWithMargin) {
   widest.algo.options.depth_cap = std::numeric_limits<std::int32_t>::max();
   widest.async.kind = AsyncKind::kFixedRate;
   widest.async.seed = kWidest;
-  widest.async.max_delay = std::numeric_limits<std::int64_t>::max();
-  widest.async.period = std::numeric_limits<std::int64_t>::max();
+  widest.async.max_delay = kMaxAsyncGap;
+  widest.async.period = kMaxAsyncGap;
   widest.async.num_slow = std::numeric_limits<std::int32_t>::max();
   widest.max_rounds = std::numeric_limits<std::int64_t>::max();
   widest.fast_forward = false;

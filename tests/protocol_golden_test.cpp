@@ -193,6 +193,26 @@ const ErrorPin kErrorPins[] = {
      "schedule needs horizon >= 1"},
     {R"({"async":"random","schedule":"full","horizon":2})",
      "async is mutually exclusive with schedule"},
+    {R"({"family":"binary","depth":5,"k":4,"schedule":"random","horizon":10,"p":7})",
+     "p must be in (0, 1]"},
+    {R"({"schedule":"random","horizon":10,"p":0})",
+     "p must be in (0, 1]"},
+    {R"({"schedule":"full","horizon":10,"p":-0.5})",
+     "p must be in (0, 1]"},
+    {R"({"max_rounds":-5})",
+     "max_rounds must be >= 0"},
+    {R"({"depth_cap":-7})",
+     "depth_cap must be >= -1"},
+    {R"({"family":"binary","depth":5,"k":4,"async":"fixed-rate","async_period":9000000000000000000})",
+     "async_period must be in [1, 1000000]"},
+    {R"({"async":"laggard","async_period":1000001})",
+     "async_period must be in [1, 1000000]"},
+    {R"({"async":"fixed-rate","async_period":0})",
+     "async_period must be in [1, 1000000]"},
+    {R"({"async":"random","async_delay":1000001})",
+     "async_delay must be in [0, 1000000]"},
+    {R"({"async":"random","async_delay":-1})",
+     "async_delay must be in [0, 1000000]"},
     {R"({"type":"campaign","ks":[1,2,3,4,5,6,7,8,9],"algo_seeds":[1,2,3,4,5,6,7,8]})",
      "campaign expands to 72 members (max 64)"},
     {R"({"type":"campaign","ks":"x"})",

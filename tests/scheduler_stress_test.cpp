@@ -108,10 +108,10 @@ TEST(SchedulerStress, ConcurrentSubmitWaitStatsDrain) {
             Scheduler::Admit::kDraining);
 }
 
-/// Campaign-shaped group whose members all share one tree recipe.
-/// `with_async` flips the members onto the per-robot-clock engine path,
-/// which makes them non-batchable: the dispatcher must then thread them
-/// through the solo lane of a possibly mixed batched+solo group.
+/// Campaign-shaped group whose members all share one tree recipe: a
+/// seed sweep of least-loaded BFDN at k 4 and 8, so 2 distinct runs and
+/// 4 seed-blind twins. `with_async` flips the members onto the
+/// per-robot-clock engine path, which coalesces the same way.
 ServiceRequest storm_campaign(bool with_async) {
   ServiceRequest request;
   request.type = RequestType::kCampaign;
@@ -139,8 +139,8 @@ TEST(SchedulerStress, CampaignStormKeepsAtomicityAndByteIdentity) {
   // producer against its own backpressure).
   Scheduler scheduler({/*threads=*/4, /*queue_capacity=*/8});
 
-  // Per-variant expected bytes, computed solo up front: the batched
-  // path must reproduce them exactly.
+  // Per-variant expected bytes, computed solo up front: a twin that
+  // takes its leader's outcome must reproduce its own bytes exactly.
   std::vector<std::vector<std::string>> expected(2);
   std::vector<std::vector<ServiceRequest>> members(2);
   for (std::size_t variant = 0; variant < 2; ++variant) {
@@ -156,9 +156,8 @@ TEST(SchedulerStress, CampaignStormKeepsAtomicityAndByteIdentity) {
   std::vector<std::thread> producers;
   for (std::int32_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      // Even producers offer seed-sweep (batchable, coalescible)
-      // members; odd producers offer async members that share the same
-      // recipe label, so dispatcher groups mix both execution lanes.
+      // Even producers offer synchronous members; odd producers offer
+      // async members that share the same recipe label.
       const std::size_t variant = static_cast<std::size_t>(p % 2);
       for (std::int32_t i = 0; i < kCampaignsPerProducer; ++i) {
         std::vector<std::shared_ptr<Scheduler::Job>> jobs;
@@ -193,17 +192,12 @@ TEST(SchedulerStress, CampaignStormKeepsAtomicityAndByteIdentity) {
   EXPECT_EQ(stats.completed, stats.admitted);
   EXPECT_EQ(scheduler.queue_depth(), 0);
 
-  // Batchable members are enqueued together under one mutex hold and
-  // drained wholesale, so every seed-sweep member goes through the
-  // batch lane: 2 even producers x 6 campaigns x 6 members.
-  EXPECT_EQ(stats.batch_members,
-            (kProducers / 2) * kCampaignsPerProducer * 6);
-  EXPECT_GE(stats.batch_groups, 1);
-  // Each batch group carries at most two distinct coalesce keys
-  // (k=4 and k=8 seed sweeps under the seed-blind least-loaded
-  // policy); everything beyond that must have been coalesced.
-  EXPECT_GE(stats.batch_coalesced,
-            stats.batch_members - 2 * stats.batch_groups);
+  // A campaign's members are enqueued under one mutex hold and drained
+  // wholesale, and a pending campaign holds 6 of the 8 slots, so every
+  // dispatcher group is exactly one campaign: 2 distinct runs (k=4 and
+  // k=8 under the seed-blind least-loaded policy), 4 coalesced twins.
+  EXPECT_EQ(stats.batch_coalesced,
+            total_members - 2 * kProducers * kCampaignsPerProducer);
 }
 
 TEST(CacheStress, ConcurrentGetPutEvict) {
